@@ -94,7 +94,7 @@ int main() {
   };
 
   for (const auto& dc : cases) {
-    std::printf("\n--- %s: decode bandwidth utilization (%%) ---\n", dc.dev.name.c_str());
+    std::printf("\n--- %s: decode bandwidth utilization (%%) ---\n", dc.dev.name);
     AsciiTable t({"config", "backend", "constant", "uniform", "skewed"});
     for (int h = 0; h < 3; ++h) {
       for (int b = 0; b < 2; ++b) {
@@ -117,7 +117,7 @@ int main() {
     t.Print();
 
     std::printf("--- %s: causal prefill FLOPs utilization (%%), MHA ---\n",
-                dc.dev.name.c_str());
+                dc.dev.name);
     AsciiTable p({"backend", "constant", "uniform", "skewed"});
     // FA prefill never splits KV (splitting 128-row prefill tiles would
     // explode partial-output traffic): plain per-(tile, head) grid.

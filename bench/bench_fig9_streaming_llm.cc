@@ -71,7 +71,7 @@ int main() {
                                      StreamingRopeMode::kOriginalImpl};
 
   for (const auto& dc : cases) {
-    std::printf("\n--- %s: inter-token latency (ms) ---\n", dc.dev.name.c_str());
+    std::printf("\n--- %s: inter-token latency (ms) ---\n", dc.dev.name);
     AsciiTable t({"implementation", "recent 1000", "recent 2000", "recent 4000"});
     for (int m = 0; m < 3; ++m) {
       std::vector<std::string> row{mode_names[m]};
@@ -88,7 +88,7 @@ int main() {
     t.Print();
 
     std::printf("--- %s: decode kernel bandwidth utilization (%%) ---\n",
-                dc.dev.name.c_str());
+                dc.dev.name);
     AsciiTable k({"seq len", "FlashInfer MHA", "FA MHA", "FlashInfer GQA-8", "FA GQA-8"});
     int s = 0;
     for (int64_t len : {int64_t{255}, int64_t{2000}}) {

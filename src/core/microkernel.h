@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -24,6 +25,14 @@ namespace flashinfer {
 
 namespace detail {
 
+/// Per-row metadata under head-group fusion (Appendix A): fused local index
+/// i maps to query token i/g and group head i%g.
+struct RowMeta {
+  int64_t token_row;
+  int qo_head;
+  int64_t q_pos;
+};
+
 /// Per-tile scratch; reused across work items of one CTA (thread-local in
 /// the simulator, shared memory on a real GPU).
 struct KernelScratch {
@@ -31,9 +40,12 @@ struct KernelScratch {
   std::vector<float> k;        // [tile_kv, D] gathered key tile.
   std::vector<float> v;        // [tile_kv, D] gathered value tile.
   std::vector<int64_t> kv_pos;  // [tile_kv] logical position per gathered token.
+  std::vector<float> score;    // [tile_kv] one row's scores (softmax weights after).
+  std::vector<uint8_t> keep;   // [tile_kv] one row's mask flags.
   std::vector<float> acc;      // [tile_rows, D] output accumulator.
   std::vector<float> m;         // [tile_rows] running max.
   std::vector<float> d;         // [tile_rows] running denominator.
+  std::vector<RowMeta> meta;    // [tile_rows] row -> (token, head, position).
 };
 
 inline KernelScratch& TlsScratch() {
@@ -64,14 +76,7 @@ void RunWorkItem(const AttentionParams& p, const KernelConfig& cfg, const WorkIt
   s.d.assign(static_cast<size_t>(rows), 0.0f);
 
   // --- Load + transform the query tile (once per work item). -------------
-  // Per-row metadata under head-group fusion (Appendix A): fused local index
-  // i maps to query token i/g and group head i%g.
-  struct RowMeta {
-    int64_t token_row;
-    int qo_head;
-    int64_t q_pos;
-  };
-  std::vector<RowMeta> meta(static_cast<size_t>(rows));
+  s.meta.resize(static_cast<size_t>(rows));
   for (int i = 0; i < rows; ++i) {
     const int64_t local = row0 + i - fused_begin;
     FI_CHECK_GE(local, 0);
@@ -81,7 +86,7 @@ void RunWorkItem(const AttentionParams& p, const KernelConfig& cfg, const WorkIt
                                       : static_cast<int>(item.qo_head);
     const int64_t token_row = p.qo_indptr[static_cast<size_t>(item.request)] + token_local;
     const int64_t q_pos = kv_len - qo_len + token_local;
-    meta[static_cast<size_t>(i)] = {token_row, qo_head, q_pos};
+    s.meta[static_cast<size_t>(i)] = {token_row, qo_head, q_pos};
     const float* src = p.q->Row(token_row).data() + static_cast<int64_t>(qo_head) * d_dim;
     float* dst = s.q.data() + static_cast<size_t>(i) * d_dim;
     std::copy(src, src + d_dim, dst);
@@ -95,15 +100,23 @@ void RunWorkItem(const AttentionParams& p, const KernelConfig& cfg, const WorkIt
   s.k.resize(static_cast<size_t>(tile_kv) * d_dim);
   s.v.resize(static_cast<size_t>(tile_kv) * d_dim);
   s.kv_pos.resize(static_cast<size_t>(tile_kv));
+  s.score.resize(static_cast<size_t>(tile_kv));
+  s.keep.resize(static_cast<size_t>(tile_kv));
 
   int64_t cursor = 0;  // Valid-KV coordinate of the current block's start.
   int64_t chunk_tokens = 0;
   int filled = 0;  // Tokens staged in the current tile.
 
+  // One FA2 tile step per query row: score the whole tile into `score`,
+  // flagging masked tokens in `keep`; then one tile max, one (acc, den)
+  // rescale, and P.V as contiguous axpys over head_dim. Flagged tokens take
+  // no part in the max, the weights or P.V.
   auto flush_tile = [&](int count) {
     if (count == 0) return;
+    float* score = s.score.data();
+    uint8_t* keep = s.keep.data();
     for (int i = 0; i < rows; ++i) {
-      const auto& rm = meta[static_cast<size_t>(i)];
+      const auto& rm = s.meta[static_cast<size_t>(i)];
       LogitsCtx ctx;
       ctx.q_pos = rm.q_pos;
       ctx.qo_head = rm.qo_head;
@@ -113,33 +126,48 @@ void RunWorkItem(const AttentionParams& p, const KernelConfig& cfg, const WorkIt
       ctx.request = item.request;
       const float* qrow = s.q.data() + static_cast<size_t>(i) * d_dim;
       float* acc = s.acc.data() + static_cast<size_t>(i) * d_dim;
+      int kept = 0;
+      float tile_max = -std::numeric_limits<float>::infinity();
       for (int t = 0; t < count; ++t) {
         ctx.kv_pos = s.kv_pos[static_cast<size_t>(t)];
-        if (!variant.LogitsMask(p.variant, ctx)) continue;
+        keep[t] = variant.LogitsMask(p.variant, ctx) ? 1 : 0;
+        if (keep[t] == 0) continue;
         const float* krow = s.k.data() + static_cast<size_t>(t) * d_dim;
         float logit = 0.0f;
+#pragma omp simd reduction(+ : logit)
         for (int dd = 0; dd < d_dim; ++dd) logit += qrow[dd] * krow[dd];
-        const float score = variant.LogitsTransform(p.variant, logit, ctx);
-        const float* vrow = s.v.data() + static_cast<size_t>(t) * d_dim;
-        if constexpr (Variant::kUseSoftmax) {
-          // Online softmax update (Milakov & Gimelshein 2018).
-          float& m = s.m[static_cast<size_t>(i)];
-          float& den = s.d[static_cast<size_t>(i)];
-          if (score > m) {
-            const float scale = std::isinf(m) ? 0.0f : std::exp(m - score);
-            for (int dd = 0; dd < d_dim; ++dd) acc[dd] *= scale;
-            den *= scale;
-            m = score;
-          }
-          const float w = std::exp(score - m);
-          den += w;
-          for (int dd = 0; dd < d_dim; ++dd) acc[dd] += w * vrow[dd];
-        } else {
-          // No-softmax variants (FlashSigmoid): plain weighted accumulation;
-          // partials compose by summation.
-          for (int dd = 0; dd < d_dim; ++dd) acc[dd] += score * vrow[dd];
-          s.d[static_cast<size_t>(i)] = 1.0f;
+        score[t] = variant.LogitsTransform(p.variant, logit, ctx);
+        tile_max = std::max(tile_max, score[t]);
+        ++kept;
+      }
+      if (kept == 0) continue;  // Fully masked tile: the row's state is unchanged.
+      if constexpr (Variant::kUseSoftmax) {
+        // Online softmax at tile granularity (Milakov & Gimelshein 2018; FA2).
+        float& m = s.m[static_cast<size_t>(i)];
+        float& den = s.d[static_cast<size_t>(i)];
+        if (tile_max > m) {
+          const float scale = std::isinf(m) ? 0.0f : std::exp(m - tile_max);
+#pragma omp simd
+          for (int dd = 0; dd < d_dim; ++dd) acc[dd] *= scale;
+          den *= scale;
+          m = tile_max;
         }
+        for (int t = 0; t < count; ++t) {
+          if (keep[t] == 0) continue;
+          score[t] = std::exp(score[t] - m);
+          den += score[t];
+        }
+      } else {
+        // No-softmax variants (FlashSigmoid): plain weighted accumulation;
+        // partials compose by summation.
+        s.d[static_cast<size_t>(i)] = 1.0f;
+      }
+      for (int t = 0; t < count; ++t) {
+        if (keep[t] == 0) continue;
+        const float w = score[t];
+        const float* vrow = s.v.data() + static_cast<size_t>(t) * d_dim;
+#pragma omp simd
+        for (int dd = 0; dd < d_dim; ++dd) acc[dd] += w * vrow[dd];
       }
     }
   };
@@ -163,6 +191,7 @@ void RunWorkItem(const AttentionParams& p, const KernelConfig& cfg, const WorkIt
       const KVT* vsrc = kvc.VRow<KVT>(page, item.kv_head, slot);
       float* kdst = s.k.data() + static_cast<size_t>(filled) * d_dim;
       float* vdst = s.v.data() + static_cast<size_t>(filled) * d_dim;
+#pragma omp simd
       for (int dd = 0; dd < d_dim; ++dd) {
         kdst[dd] = ToFloat(ksrc[dd]);
         vdst[dd] = ToFloat(vsrc[dd]);
@@ -185,7 +214,7 @@ void RunWorkItem(const AttentionParams& p, const KernelConfig& cfg, const WorkIt
   // --- Emit output. --------------------------------------------------------
   const bool partial = item.dest >= 0;
   for (int i = 0; i < rows; ++i) {
-    const auto& rm = meta[static_cast<size_t>(i)];
+    const auto& rm = s.meta[static_cast<size_t>(i)];
     const float den = s.d[static_cast<size_t>(i)];
     const float m = s.m[static_cast<size_t>(i)];
     const float inv = (Variant::kUseSoftmax && den > 0.0f) ? 1.0f / den : 1.0f;

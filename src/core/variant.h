@@ -78,18 +78,18 @@ struct VariantBase {
 
   static const char* Name() { return "Vanilla"; }
 
-  float LogitsTransform(const VariantParams& p, float logit, const LogitsCtx& ctx) const {
+  float LogitsTransform(const VariantParams& p, float logit, const LogitsCtx& /*ctx*/) const {
     return logit * p.sm_scale;
   }
   bool LogitsMask(const VariantParams& p, const LogitsCtx& ctx) const {
     return DefaultMask(p, ctx);
   }
-  void QueryTransform(const VariantParams& p, std::span<float> q, int64_t q_pos,
-                      int qo_head) const {}
-  void KeyTransform(const VariantParams& p, std::span<float> k, int64_t kv_pos,
-                    int kv_head) const {}
-  void OutputTransform(const VariantParams& p, std::span<float> o, int64_t q_pos,
-                       int qo_head) const {}
+  void QueryTransform(const VariantParams& /*p*/, std::span<float> /*q*/, int64_t /*q_pos*/,
+                      int /*qo_head*/) const {}
+  void KeyTransform(const VariantParams& /*p*/, std::span<float> /*k*/, int64_t /*kv_pos*/,
+                    int /*kv_head*/) const {}
+  void OutputTransform(const VariantParams& /*p*/, std::span<float> /*o*/, int64_t /*q_pos*/,
+                       int /*qo_head*/) const {}
 };
 
 /// Applies rotary position embedding in-place (interleaved pairs layout).

@@ -15,7 +15,7 @@ using VanillaVariant = VariantBase;
 /// Logits soft-capping (Gemma-2 / Grok-1): s -> cap * tanh(s / cap).
 struct SoftCapVariant : VariantBase {
   static const char* Name() { return "SoftCap"; }
-  float LogitsTransform(const VariantParams& p, float logit, const LogitsCtx& ctx) const {
+  float LogitsTransform(const VariantParams& p, float logit, const LogitsCtx& /*ctx*/) const {
     const float s = logit * p.sm_scale;
     if (p.logits_soft_cap <= 0.0f) return s;
     return p.logits_soft_cap * std::tanh(s / p.logits_soft_cap);
@@ -55,7 +55,7 @@ struct StreamingLlmVariant : VariantBase {
 struct SigmoidVariant : VariantBase {
   static constexpr bool kUseSoftmax = false;
   static const char* Name() { return "FlashSigmoid"; }
-  float LogitsTransform(const VariantParams& p, float logit, const LogitsCtx& ctx) const {
+  float LogitsTransform(const VariantParams& p, float logit, const LogitsCtx& /*ctx*/) const {
     const float s = logit * p.sm_scale * p.sigmoid_scale + p.sigmoid_bias;
     return 1.0f / (1.0f + std::exp(-s));
   }
@@ -68,11 +68,11 @@ struct FusedRopeVariant : VariantBase {
   static constexpr bool kHasQKTransform = true;
   static const char* Name() { return "FusedRoPE"; }
   void QueryTransform(const VariantParams& p, std::span<float> q, int64_t q_pos,
-                      int qo_head) const {
+                      int /*qo_head*/) const {
     ApplyRope(q, q_pos, p.rope_theta);
   }
   void KeyTransform(const VariantParams& p, std::span<float> k, int64_t kv_pos,
-                    int kv_head) const {
+                    int /*kv_head*/) const {
     ApplyRope(k, kv_pos, p.rope_theta);
   }
 };

@@ -9,8 +9,6 @@
 // dispatch real GPUs use.
 #pragma once
 
-#include <string>
-
 namespace flashinfer::gpusim {
 
 /// Which FlashAttention template generation a kernel uses (Sec. 3.2):
@@ -24,7 +22,8 @@ enum class TemplateGen {
 
 /// Machine constants for a simulated device.
 struct DeviceSpec {
-  std::string name;
+  /// Display name; must outlive the spec (the built-in specs use literals).
+  const char* name = "";
   int num_sms = 108;
   /// Peak HBM bandwidth, GB/s.
   double hbm_gbps = 1555.0;

@@ -1,4 +1,4 @@
-// JIT compilation pipeline: spec -> generated C++ -> g++ -O2 -shared ->
+// JIT compilation pipeline: spec -> generated C++ -> g++ -shared ->
 // dlopen -> type-erased kernel (the host-compiler analog of FlashInfer's
 // NVRTC/torch-extension path, Sec. 3.2.3).
 //
@@ -20,7 +20,10 @@ struct JitOptions {
   /// Directory for generated sources and .so files.
   std::string cache_dir = "/tmp/flashinfer_sim_jit";
   std::string compiler = "g++";
-  std::string extra_flags = "-O2";
+  /// The kernel is compiled on the host that runs it, so it targets that
+  /// host's vector ISA; -fopenmp-simd honors the microkernel's `omp simd`
+  /// loops without pulling in the OpenMP runtime.
+  std::string extra_flags = "-O2 -march=native -fopenmp-simd";
   bool verbose = false;
 };
 

@@ -8,6 +8,7 @@
 // (matching the CUDA __nv_fp8 saturating conversions used for KV-caches).
 #pragma once
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -68,19 +69,17 @@ inline uint16_t FloatToHalfBits(float f) noexcept {
   return out;
 }
 
+// Branchless so that gathers of half_t rows vectorize. The magnitude bits
+// shifted into float position read as the value scaled by 2^-112 (the
+// exponent rebias 127 - 15), for subnormal halves too; the 2^112 multiply
+// undoes that exactly. Exponent-all-ones patterns (inf/NaN) are selected
+// with the float exponent forced to all ones, keeping the NaN payload.
+// Exact unless the FPU flushes denormal inputs to zero (DAZ).
 inline float HalfBitsToFloat(uint16_t bits) noexcept {
-  const uint32_t sign = static_cast<uint32_t>(bits & 0x8000u) << 16;
-  const uint32_t exp = (bits >> 10) & 0x1F;
-  const uint32_t man = bits & 0x3FFu;
-  if (exp == 0) {
-    if (man == 0) return BitsToFloat(sign);  // Signed zero.
-    const float v = std::ldexp(static_cast<float>(man), -24);  // Subnormal.
-    return sign ? -v : v;
-  }
-  if (exp == 0x1F) {
-    return BitsToFloat(sign | 0x7F800000u | (man << 13));
-  }
-  return BitsToFloat(sign | ((exp + 127 - 15) << 23) | (man << 13));
+  const uint32_t mag = static_cast<uint32_t>(bits & 0x7FFFu) << 13;
+  const uint32_t finite = FloatBits(BitsToFloat(mag) * 0x1p112f);
+  const uint32_t out = (bits & 0x7C00u) == 0x7C00u ? (mag | 0x7F800000u) : finite;
+  return BitsToFloat(out | (static_cast<uint32_t>(bits & 0x8000u) << 16));
 }
 
 inline uint16_t FloatToBf16Bits(float f) noexcept {
@@ -168,30 +167,40 @@ inline uint8_t FloatToFp8Bits(float f, int exp_bits, int man_bits) noexcept {
   return static_cast<uint8_t>(sign | (static_cast<uint32_t>(biased) << man_bits) | q);
 }
 
-inline float Fp8BitsToFloat(uint8_t bits, int exp_bits, int man_bits) noexcept {
+/// Decodes one fp8 pattern exactly: (implicit bit + mantissa) * 2^k, built
+/// from exact power-of-two products so it can run at compile time.
+constexpr float Fp8Decode(uint8_t bits, int exp_bits, int man_bits) noexcept {
   const int bias = (1 << (exp_bits - 1)) - 1;
-  const bool e4m3 = (exp_bits == 4);
-  const uint8_t sign = bits & 0x80u;
   const uint32_t exp = (bits >> man_bits) & ((1u << exp_bits) - 1);
   const uint32_t man = bits & ((1u << man_bits) - 1);
-  const float s = sign ? -1.0f : 1.0f;
-
-  if (e4m3) {
+  const float s = (bits & 0x80u) ? -1.0f : 1.0f;
+  if (exp_bits == 4) {
     if (exp == 0xFu && man == 0x7u) return std::numeric_limits<float>::quiet_NaN();
-  } else {
-    if (exp == 0x1Fu) {
-      if (man == 0) return s * std::numeric_limits<float>::infinity();
-      return std::numeric_limits<float>::quiet_NaN();
-    }
+  } else if (exp == 0x1Fu) {
+    return man == 0 ? s * std::numeric_limits<float>::infinity()
+                    : std::numeric_limits<float>::quiet_NaN();
   }
-  if (exp == 0) {
-    return s * std::ldexp(static_cast<float>(man), 1 - bias - man_bits);
-  }
-  return s * std::ldexp(1.0f + std::ldexp(static_cast<float>(man), -man_bits),
-                        static_cast<int>(exp) - bias);
+  // Normal: (2^m + man) * 2^(exp - bias - m); subnormal: man * 2^(1 - bias - m).
+  const float sig = static_cast<float>(exp == 0 ? man : (1u << man_bits) + man);
+  int e2 = (exp == 0 ? 1 : static_cast<int>(exp)) - bias - man_bits;
+  float scale = 1.0f;
+  for (; e2 > 0; --e2) scale *= 2.0f;
+  for (; e2 < 0; ++e2) scale *= 0.5f;
+  return s * (sig * scale);
 }
 
+template <int kExpBits, int kManBits>
+constexpr std::array<float, 256> MakeFp8Table() noexcept {
+  std::array<float, 256> t{};
+  for (int b = 0; b < 256; ++b) {
+    t[static_cast<size_t>(b)] = Fp8Decode(static_cast<uint8_t>(b), kExpBits, kManBits);
+  }
+  return t;
+}
 
+/// 256-entry decode tables: an fp8 load is one (vectorizable) table lookup.
+inline constexpr std::array<float, 256> kFp8E4M3Table = MakeFp8Table<4, 3>();
+inline constexpr std::array<float, 256> kFp8E5M2Table = MakeFp8Table<5, 2>();
 
 }  // namespace detail
 
@@ -229,7 +238,7 @@ struct fp8_e4m3_t {
 
   fp8_e4m3_t() = default;
   explicit fp8_e4m3_t(float f) noexcept : bits(detail::FloatToFp8Bits(f, 4, 3)) {}
-  explicit operator float() const noexcept { return detail::Fp8BitsToFloat(bits, 4, 3); }
+  explicit operator float() const noexcept { return detail::kFp8E4M3Table[bits]; }
   static fp8_e4m3_t FromBits(uint8_t b) noexcept {
     fp8_e4m3_t h;
     h.bits = b;
@@ -243,7 +252,7 @@ struct fp8_e5m2_t {
 
   fp8_e5m2_t() = default;
   explicit fp8_e5m2_t(float f) noexcept : bits(detail::FloatToFp8Bits(f, 5, 2)) {}
-  explicit operator float() const noexcept { return detail::Fp8BitsToFloat(bits, 5, 2); }
+  explicit operator float() const noexcept { return detail::kFp8E5M2Table[bits]; }
   static fp8_e5m2_t FromBits(uint8_t b) noexcept {
     fp8_e5m2_t h;
     h.bits = b;

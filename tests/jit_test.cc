@@ -95,6 +95,40 @@ TEST_F(JitCompileTest, CompiledSigmoidMatchesBuiltin) {
   EXPECT_LT(MaxAbsDiff(jit_out, prob.o.data), 1e-5f);
 }
 
+TEST_F(JitCompileTest, HostNativeVanillaMatchesBuiltinAtServingGeometry) {
+  // Llama-8B head geometry as the attention benchmark runs it: f16 KV,
+  // 32 query heads fused onto 8 KV heads, head_dim 128, causal decodes plus
+  // a prefill chunk. The kernel is built with the default (host-native) flags.
+  AttentionSpecDesc jspec;
+  jspec.name = "HostNativeVanilla";
+  jspec.kv_dtype = DType::kF16;
+  auto kernel = CompileVariant(jspec);
+
+  ProblemSpec spec;
+  spec.qo_lens = {1, 1, 16};
+  spec.kv_lens = {300, 97, 160};
+  spec.num_qo_heads = 32;
+  spec.num_kv_heads = 8;
+  spec.head_dim = 128;
+  spec.page_size = 16;
+  spec.kv_dtype = DType::kF16;
+  spec.tile_q = 16;
+  auto prob = MakeProblem(spec);
+  auto p = prob.Params();
+  p.variant.causal = true;
+  KernelConfig cfg;
+  cfg.tile_q = 16;
+  cfg.tile_kv = 64;
+  RunSerial(p, cfg, kernel->fn());
+  const auto jit_out = prob.o.data;
+  const auto jit_lse = prob.lse;
+
+  std::fill(prob.o.data.begin(), prob.o.data.end(), 0.0f);
+  RunSerial(p, cfg, GetBuiltinKernel(VariantKind::kVanilla, DType::kF16));
+  EXPECT_LT(MaxAbsDiff(jit_out, prob.o.data), 1e-5f);
+  EXPECT_LT(MaxAbsDiff(jit_lse, prob.lse), 1e-5f);
+}
+
 TEST_F(JitCompileTest, CustomMaskVariant) {
   // A "every other token" custom mask — something no builtin provides.
   AttentionSpecDesc spec;

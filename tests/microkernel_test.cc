@@ -106,6 +106,46 @@ TEST_P(KvTileSweep, ResultIndependentOfKvTileSize) {
 INSTANTIATE_TEST_SUITE_P(Tiles, KvTileSweep, ::testing::Values(1, 3, 8, 32, 128));
 
 // ----------------------------------------------------------- split + merge
+// Splits every work unit's KV range into `parts` chunks, runs each chunk into
+// the partial sink and merges them with the contraction kernel into p.o/p.lse.
+void RunSplitAndContract(AttentionParams& p, const KernelConfig& cfg, WorkItemFn fn,
+                         int64_t parts) {
+  const auto units = EnumerateWorkUnits(p);
+  std::vector<float> partial_o(1 << 18, 0.0f);
+  std::vector<float> partial_lse(1 << 12, 0.0f);
+  PartialSink sink{partial_o.data(), partial_lse.data()};
+  ReductionMap rmap;
+  int32_t next = 0;
+  for (const auto& u : units) {
+    const int64_t step = (u.kv_len + parts - 1) / parts;
+    std::vector<int32_t> bases;
+    for (int64_t lo = 0; lo < u.kv_len; lo += step) {
+      const int64_t hi = std::min(u.kv_len, lo + step);
+      WorkItem item{u.block_row, u.request, u.kv_head, u.qo_head, lo, hi, next};
+      fn(p, cfg, item, sink, nullptr, nullptr);
+      bases.push_back(next);
+      next += u.rows;
+    }
+    FI_CHECK_LE(static_cast<size_t>(next) * p.head_dim, partial_o.size());
+    // Reduction map rows mirror the scheduler's mapping.
+    const auto& bsr = *p.bsr;
+    const int g = p.GroupSize();
+    const int64_t row0 = bsr.row_start[static_cast<size_t>(u.block_row)];
+    for (int i = 0; i < u.rows; ++i) {
+      const int64_t local = row0 + i - p.FusedBegin(u.request);
+      ReductionMap::Task task;
+      task.token_row =
+          p.qo_indptr[static_cast<size_t>(u.request)] + (p.head_fusion ? local / g : local);
+      task.qo_head = p.head_fusion ? u.kv_head * g + static_cast<int>(local % g) : u.qo_head;
+      task.begin = static_cast<int32_t>(rmap.slots.size());
+      task.count = static_cast<int32_t>(bases.size());
+      for (int32_t b : bases) rmap.slots.push_back(b + i);
+      rmap.tasks.push_back(task);
+    }
+  }
+  RunContraction(p, rmap, sink, /*use_softmax=*/true, nullptr, nullptr);
+}
+
 TEST(SplitKv, PartialChunksMergeToWritethroughResult) {
   ProblemSpec spec;
   spec.qo_lens = {2, 1};
@@ -130,42 +170,192 @@ TEST(SplitKv, PartialChunksMergeToWritethroughResult) {
   // Split every unit into 3 chunks, run through partial sink + contraction.
   std::fill(prob.o.data.begin(), prob.o.data.end(), 0.0f);
   std::fill(prob.lse.begin(), prob.lse.end(), 0.0f);
-  const auto units = EnumerateWorkUnits(p);
-  std::vector<float> partial_o(1 << 16, 0.0f);
-  std::vector<float> partial_lse(1 << 10, 0.0f);
-  PartialSink sink{partial_o.data(), partial_lse.data()};
-  ReductionMap rmap;
-  int32_t next = 0;
-  for (const auto& u : units) {
-    const int64_t step = (u.kv_len + 2) / 3;
-    std::vector<int32_t> bases;
-    for (int64_t lo = 0; lo < u.kv_len; lo += step) {
-      const int64_t hi = std::min(u.kv_len, lo + step);
-      WorkItem item{u.block_row, u.request, u.kv_head, u.qo_head, lo, hi, next};
-      fn(p, cfg, item, sink, nullptr, nullptr);
-      bases.push_back(next);
-      next += u.rows;
-    }
-    // Reduction map rows mirror the scheduler's mapping.
-    const auto& bsr = *p.bsr;
-    const int g = p.GroupSize();
-    const int64_t row0 = bsr.row_start[static_cast<size_t>(u.block_row)];
-    for (int i = 0; i < u.rows; ++i) {
-      const int64_t local = row0 + i - p.FusedBegin(u.request);
-      ReductionMap::Task task;
-      task.token_row =
-          p.qo_indptr[static_cast<size_t>(u.request)] + (p.head_fusion ? local / g : local);
-      task.qo_head = p.head_fusion ? u.kv_head * g + static_cast<int>(local % g) : u.qo_head;
-      task.begin = static_cast<int32_t>(rmap.slots.size());
-      task.count = static_cast<int32_t>(bases.size());
-      for (int32_t b : bases) rmap.slots.push_back(b + i);
-      rmap.tasks.push_back(task);
-    }
-  }
-  RunContraction(p, rmap, sink, /*use_softmax=*/true, nullptr, nullptr);
+  RunSplitAndContract(p, cfg, fn, 3);
 
   EXPECT_LT(MaxAbsDiff(prob.o.data, baseline), 1e-4f);
   EXPECT_LT(MaxAbsDiff(prob.lse, baseline_lse), 1e-4f);
+}
+
+TEST(SplitKv, F16GqaPartialsComposeToUnsplitResult) {
+  // Split points (every 37 / 4 -> 10 tokens) fall inside KV tiles and pages.
+  ProblemSpec spec;
+  spec.qo_lens = {1, 5, 1};
+  spec.kv_lens = {37, 61, 9};
+  spec.num_qo_heads = 8;
+  spec.num_kv_heads = 2;
+  spec.head_dim = 72;
+  spec.page_size = 16;
+  spec.kv_dtype = DType::kF16;
+  spec.tile_q = 16;
+  auto prob = MakeProblem(spec);
+  auto p = prob.Params();
+  p.variant.causal = true;
+  KernelConfig cfg;
+  cfg.tile_q = 16;
+  cfg.tile_kv = 8;
+  auto fn = GetBuiltinKernel(VariantKind::kVanilla, DType::kF16);
+
+  RunSerial(p, cfg, fn);
+  const auto baseline = prob.o.data;
+  const auto baseline_lse = prob.lse;
+  std::fill(prob.o.data.begin(), prob.o.data.end(), 0.0f);
+  std::fill(prob.lse.begin(), prob.lse.end(), 0.0f);
+  RunSplitAndContract(p, cfg, fn, 4);
+
+  EXPECT_LT(MaxAbsDiff(prob.o.data, baseline), 1e-5f);
+  EXPECT_LT(MaxAbsDiff(prob.lse, baseline_lse), 1e-5f);
+}
+
+// ------------------------------------------------------ FA2 tile edge cases
+struct RefErr {
+  float o;
+  float lse;
+};
+
+/// Runs builtin `kind` serially and returns its max error against the
+/// double-precision reference.
+RefErr ErrorVsReference(test::Problem& prob, AttentionParams& p, VariantKind kind,
+                        const KernelConfig& cfg) {
+  RunSerial(p, cfg, GetBuiltinKernel(kind, prob.spec.kv_dtype));
+  auto ref_o = RaggedTensor::Zeros(prob.qo_indptr, prob.q.inner);
+  std::vector<float> ref_lse(prob.lse.size(), 0.0f);
+  ReferenceAttentionKind(kind, p, &ref_o, &ref_lse);
+  return {MaxAbsDiff(prob.o.data, ref_o.data), MaxAbsDiff(prob.lse, ref_lse)};
+}
+
+class HeadDimSweep : public ::testing::TestWithParam<DType> {};
+
+TEST_P(HeadDimSweep, HeadDimNotAMultipleOfTheVectorWidth) {
+  ProblemSpec spec;
+  spec.qo_lens = {3, 1, 7};
+  spec.kv_lens = {19, 6, 33};
+  spec.head_dim = 72;
+  spec.kv_dtype = GetParam();
+  auto prob = MakeProblem(spec);
+  auto p = prob.Params();
+  p.variant.causal = true;
+  KernelConfig cfg;
+  cfg.tile_q = 16;
+  cfg.tile_kv = 8;
+  const auto err = ErrorVsReference(prob, p, VariantKind::kVanilla, cfg);
+  EXPECT_LT(err.o, 2e-3f);
+  EXPECT_LT(err.lse, 2e-3f);
+}
+
+INSTANTIATE_TEST_SUITE_P(Dtypes, HeadDimSweep,
+                         ::testing::Values(DType::kF32, DType::kF16, DType::kFP8_E4M3),
+                         [](const auto& info) { return std::string(DTypeName(info.param)); });
+
+TEST(KernelEdge, FinalTileShorterThanTileKv) {
+  // 45 = 2 x 16 + 13 and 17 = 16 + 1: each chunk ends in a short tile.
+  ProblemSpec spec;
+  spec.qo_lens = {1, 4};
+  spec.kv_lens = {45, 17};
+  spec.kv_dtype = DType::kF16;
+  auto prob = MakeProblem(spec);
+  auto p = prob.Params();
+  p.variant.causal = true;
+  KernelConfig cfg;
+  cfg.tile_q = 16;
+  cfg.tile_kv = 16;
+  const auto err = ErrorVsReference(prob, p, VariantKind::kVanilla, cfg);
+  EXPECT_LT(err.o, 2e-3f);
+  EXPECT_LT(err.lse, 2e-3f);
+}
+
+TEST(KernelEdge, SlidingWindowWithSinksMasksWholeTilesMidChunk) {
+  // The decode row at position 79 sees sinks 0..3 and window 71..79: KV
+  // tiles 1..7 of 8 tokens are fully masked between two visible ones.
+  ProblemSpec spec;
+  spec.qo_lens = {1, 3};
+  spec.kv_lens = {80, 70};
+  spec.kv_dtype = DType::kF16;
+  auto prob = MakeProblem(spec);
+  auto p = prob.Params();
+  p.variant.causal = true;
+  p.variant.window_left = 8;
+  p.variant.num_sink_tokens = 4;
+  KernelConfig cfg;
+  cfg.tile_q = 16;
+  cfg.tile_kv = 8;
+  const auto err = ErrorVsReference(prob, p, VariantKind::kStreamingLlm, cfg);
+  EXPECT_LT(err.o, 2e-3f);
+  EXPECT_LT(err.lse, 2e-3f);
+}
+
+TEST(KernelEdge, SigmoidWithMaskedTileMatchesReference) {
+  // No softmax: masked tiles must add nothing to the plain weighted sum.
+  ProblemSpec spec;
+  spec.qo_lens = {1, 2};
+  spec.kv_lens = {40, 33};
+  auto prob = MakeProblem(spec);
+  auto p = prob.Params();
+  p.variant.causal = true;
+  p.variant.window_left = 6;
+  p.variant.num_sink_tokens = 2;
+  p.variant.sigmoid_scale = 1.5f;
+  p.variant.sigmoid_bias = -0.5f;
+  KernelConfig cfg;
+  cfg.tile_q = 16;
+  cfg.tile_kv = 8;
+  const auto err = ErrorVsReference(prob, p, VariantKind::kSigmoid, cfg);
+  EXPECT_LT(err.o, 2e-3f);
+  EXPECT_LT(err.lse, 2e-3f);
+}
+
+TEST(KernelEdge, RowMaskedAcrossWholeItemEmitsZeroAndNegInfLse) {
+  // A 4-token causal prefill at positions 16..19, run over KV [18, 20) only:
+  // the rows at positions 16 and 17 see no token of the item.
+  ProblemSpec spec;
+  spec.qo_lens = {4};
+  spec.kv_lens = {20};
+  spec.num_qo_heads = 4;
+  spec.num_kv_heads = 2;
+  auto prob = MakeProblem(spec);
+  auto p = prob.Params();
+  p.variant.causal = true;
+  KernelConfig cfg;
+  cfg.tile_q = 16;
+  cfg.tile_kv = 8;
+  auto fn = GetBuiltinKernel(VariantKind::kVanilla, DType::kF32);
+  const int g = p.GroupSize();
+  const int d = spec.head_dim;
+  const auto u = EnumerateWorkUnits(p).front();
+  ASSERT_EQ(u.rows, 4 * g);
+  const auto masked = [&](int row) { return 16 + row / g < 18; };
+
+  // Partial (split-KV) output.
+  std::vector<float> partial_o(static_cast<size_t>(u.rows) * d, 42.0f);
+  std::vector<float> partial_lse(static_cast<size_t>(u.rows), 42.0f);
+  PartialSink sink{partial_o.data(), partial_lse.data()};
+  fn(p, cfg, WorkItem{u.block_row, u.request, u.kv_head, u.qo_head, 18, 20, 0}, sink, nullptr,
+     nullptr);
+  for (int i = 0; i < u.rows; ++i) {
+    const float* o = partial_o.data() + static_cast<size_t>(i) * d;
+    if (masked(i)) {
+      for (int dd = 0; dd < d; ++dd) EXPECT_EQ(o[dd], 0.0f) << "row " << i;
+      EXPECT_EQ(partial_lse[static_cast<size_t>(i)], -std::numeric_limits<float>::infinity());
+    } else {
+      EXPECT_TRUE(std::isfinite(partial_lse[static_cast<size_t>(i)])) << "row " << i;
+    }
+  }
+
+  // Writethrough output of the same item.
+  std::fill(prob.o.data.begin(), prob.o.data.end(), 42.0f);
+  fn(p, cfg, WorkItem{u.block_row, u.request, u.kv_head, u.qo_head, 18, 20, -1}, PartialSink{},
+     nullptr, nullptr);
+  for (int i = 0; i < u.rows; ++i) {
+    const int token = i / g;
+    const int qo_head = u.kv_head * g + i % g;
+    const float* o = prob.o.Row(token).data() + static_cast<int64_t>(qo_head) * d;
+    const float lse = prob.lse[static_cast<size_t>(token) * spec.num_qo_heads + qo_head];
+    if (masked(i)) {
+      for (int dd = 0; dd < d; ++dd) EXPECT_EQ(o[dd], 0.0f) << "row " << i;
+      EXPECT_EQ(lse, -std::numeric_limits<float>::infinity());
+    } else {
+      EXPECT_TRUE(std::isfinite(lse)) << "row " << i;
+    }
+  }
 }
 
 // ------------------------------------------------------------- empty ranges
@@ -184,7 +374,9 @@ TEST(Kernel, EmptyKvProducesZeros) {
   WorkItem item{0, 0, 0, -1, 0, 0, -1};
   fn(p, cfg, item, sink, nullptr, nullptr);
   for (float x : prob.o.Row(0)) {
-    if (&x - prob.o.Row(0).data() < spec.head_dim) EXPECT_EQ(x, 0.0f);
+    if (&x - prob.o.Row(0).data() < spec.head_dim) {
+      EXPECT_EQ(x, 0.0f);
+    }
   }
 }
 

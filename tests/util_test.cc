@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <set>
+#include <vector>
 
 #include "util/float_types.h"
 #include "util/rng.h"
@@ -64,6 +65,52 @@ TEST(Half, RoundTripAllBitPatterns) {
   }
 }
 
+// Reference binary16 decoder (branchy, ldexp-based): HalfBitsToFloat must
+// match it bit for bit.
+float OracleHalfBitsToFloat(uint16_t bits) {
+  const uint32_t sign = static_cast<uint32_t>(bits & 0x8000u) << 16;
+  const uint32_t exp = (bits >> 10) & 0x1F;
+  const uint32_t man = bits & 0x3FFu;
+  if (exp == 0) {
+    if (man == 0) return detail::BitsToFloat(sign);
+    const float v = std::ldexp(static_cast<float>(man), -24);
+    return sign ? -v : v;
+  }
+  if (exp == 0x1F) return detail::BitsToFloat(sign | 0x7F800000u | (man << 13));
+  return detail::BitsToFloat(sign | ((exp + 127 - 15) << 23) | (man << 13));
+}
+
+TEST(Half, BranchlessDecodeBitIdenticalToOracle) {
+  for (uint32_t bits = 0; bits < 0x10000; ++bits) {
+    const auto b = static_cast<uint16_t>(bits);
+    ASSERT_EQ(detail::FloatBits(detail::HalfBitsToFloat(b)),
+              detail::FloatBits(OracleHalfBitsToFloat(b)))
+        << "bits=" << bits;
+  }
+  // Decoded in an `omp simd` loop, as the microkernel's K/V gather does.
+  std::vector<half_t> all(0x10000);
+  for (uint32_t bits = 0; bits < 0x10000; ++bits) {
+    all[bits] = half_t::FromBits(static_cast<uint16_t>(bits));
+  }
+  std::vector<float> decoded(all.size());
+#pragma omp simd
+  for (size_t i = 0; i < all.size(); ++i) decoded[i] = ToFloat(all[i]);
+  for (uint32_t bits = 0; bits < 0x10000; ++bits) {
+    ASSERT_EQ(detail::FloatBits(decoded[bits]),
+              detail::FloatBits(OracleHalfBitsToFloat(static_cast<uint16_t>(bits))))
+        << "bits=" << bits;
+  }
+  // The classes the exhaustive sweep covers, pinned explicitly.
+  EXPECT_EQ(detail::FloatBits(detail::HalfBitsToFloat(0x0000)), 0x00000000u);  // +0
+  EXPECT_EQ(detail::FloatBits(detail::HalfBitsToFloat(0x8000)), 0x80000000u);  // -0
+  EXPECT_EQ(detail::HalfBitsToFloat(0x0001), std::ldexp(1.0f, -24));  // Min subnormal.
+  EXPECT_EQ(detail::HalfBitsToFloat(0x83FF), -std::ldexp(1023.0f, -24));  // Max subnormal.
+  EXPECT_EQ(detail::HalfBitsToFloat(0x7C00), std::numeric_limits<float>::infinity());
+  EXPECT_EQ(detail::HalfBitsToFloat(0xFC00), -std::numeric_limits<float>::infinity());
+  EXPECT_EQ(detail::FloatBits(detail::HalfBitsToFloat(0x7E01)), 0x7FC02000u);  // qNaN payload.
+  EXPECT_EQ(detail::FloatBits(detail::HalfBitsToFloat(0xFC01)), 0xFF802000u);  // sNaN payload.
+}
+
 // ---------------------------------------------------------------- bfloat16
 TEST(Bf16, RoundTripAllBitPatterns) {
   for (uint32_t bits = 0; bits < 0x10000; ++bits) {
@@ -119,6 +166,42 @@ TEST(Fp8E5M2, RoundTripAllBitPatterns) {
     }
     EXPECT_EQ(fp8_e5m2_t(f).bits, h.bits) << "bits=" << bits << " f=" << f;
   }
+}
+
+// Reference fp8 decoder (ldexp-based): the decode tables must match it bit
+// for bit.
+float OracleFp8BitsToFloat(uint8_t bits, int exp_bits, int man_bits) {
+  const int bias = (1 << (exp_bits - 1)) - 1;
+  const uint32_t exp = (bits >> man_bits) & ((1u << exp_bits) - 1);
+  const uint32_t man = bits & ((1u << man_bits) - 1);
+  const float s = (bits & 0x80u) ? -1.0f : 1.0f;
+  if (exp_bits == 4) {
+    if (exp == 0xFu && man == 0x7u) return std::numeric_limits<float>::quiet_NaN();
+  } else if (exp == 0x1Fu) {
+    if (man == 0) return s * std::numeric_limits<float>::infinity();
+    return std::numeric_limits<float>::quiet_NaN();
+  }
+  if (exp == 0) return s * std::ldexp(static_cast<float>(man), 1 - bias - man_bits);
+  return s * std::ldexp(1.0f + std::ldexp(static_cast<float>(man), -man_bits),
+                        static_cast<int>(exp) - bias);
+}
+
+TEST(Fp8, TableDecodeBitIdenticalToOracle) {
+  for (uint32_t bits = 0; bits < 256; ++bits) {
+    const auto b = static_cast<uint8_t>(bits);
+    EXPECT_EQ(detail::FloatBits(static_cast<float>(fp8_e4m3_t::FromBits(b))),
+              detail::FloatBits(OracleFp8BitsToFloat(b, 4, 3)))
+        << "e4m3 bits=" << bits;
+    EXPECT_EQ(detail::FloatBits(static_cast<float>(fp8_e5m2_t::FromBits(b))),
+              detail::FloatBits(OracleFp8BitsToFloat(b, 5, 2)))
+        << "e5m2 bits=" << bits;
+  }
+  EXPECT_EQ(detail::FloatBits(static_cast<float>(fp8_e4m3_t::FromBits(0x80))), 0x80000000u);
+  EXPECT_TRUE(std::isnan(static_cast<float>(fp8_e4m3_t::FromBits(0xFF))));
+  EXPECT_EQ(static_cast<float>(fp8_e5m2_t::FromBits(0xFC)),
+            -std::numeric_limits<float>::infinity());
+  EXPECT_EQ(static_cast<float>(fp8_e4m3_t::FromBits(0x01)), std::ldexp(1.0f, -9));
+  EXPECT_EQ(static_cast<float>(fp8_e5m2_t::FromBits(0x01)), std::ldexp(1.0f, -16));
 }
 
 TEST(Fp8E5M2, MaxFinite) {
