@@ -6,15 +6,18 @@
 // (std::function hooks) variant dispatch over the identical micro-kernel —
 // the CPU analog of the FlashInfer-vs-FlexAttention gap of Tables 1-4 —
 // plus the cost of the supporting machinery: sparse gather, state merging,
-// scheduling (plan time), and radix-tree matching.
+// scheduling (plan time), step pricing, and the radix tree's match and
+// eviction.
 #include <benchmark/benchmark.h>
 
 #include "core/attention_state.h"
 #include "core/kernel_dispatch.h"
 #include "core/microkernel.h"
+#include "gpusim/device.h"
 #include "jit/interpreted.h"
 #include "kvcache/radix.h"
 #include "runtime/scheduler.h"
+#include "serving/backends.h"
 #include "sparse/gather.h"
 #include "util/rng.h"
 
@@ -164,7 +167,7 @@ void BM_BalancedPlan(benchmark::State& state) {
   cfg.tile_kv = 64;
   for (auto _ : state) {
     auto plan = MakeBalancedPlan(p, cfg, 132, int64_t{1} << 40);
-    benchmark::DoNotOptimize(plan.cta_queues.data());
+    benchmark::DoNotOptimize(plan.items.data());
   }
 }
 BENCHMARK(BM_BalancedPlan)->Arg(8)->Arg(64)->Arg(256);
@@ -183,6 +186,55 @@ void BM_RadixMatch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RadixMatch);
+
+void BM_RadixEvictLru(benchmark::State& state) {
+  // A router-side prefix mirror at its page budget: 2048 cached pages, then
+  // every iteration inserts a new 64-page prompt and evicts the 64 LRU pages
+  // that put it over budget.
+  constexpr int kPage = 16;
+  constexpr int64_t kBudget = 2048;
+  RadixTree tree(kPage);
+  Rng rng(13);
+  int64_t next_page = 0;
+  int32_t next_prompt = 0;
+  std::vector<int32_t> tokens(64 * kPage);
+  std::vector<int64_t> pages(64);
+  const auto insert_prompt = [&] {
+    tokens[0] = next_prompt++;  // Distinct first page: no sharing.
+    for (size_t i = 1; i < tokens.size(); ++i) {
+      tokens[i] = static_cast<int32_t>(rng.UniformInt(0, 31999));
+    }
+    for (auto& pg : pages) pg = next_page++;
+    tree.Insert(tokens, pages);
+  };
+  while (tree.TotalCachedPages() < kBudget) insert_prompt();
+  for (auto _ : state) {
+    insert_prompt();
+    auto freed = tree.EvictLru(tree.TotalCachedPages() - kBudget);
+    benchmark::DoNotOptimize(freed.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 64);
+}
+BENCHMARK(BM_RadixEvictLru);
+
+void BM_SimulateBatchAttention(benchmark::State& state) {
+  // One serving step's pricing: a 35-request decode batch at Llama-3-8B
+  // geometry (32 qo / 8 kv heads, head_dim 128, 16-token pages) through the
+  // balanced scheduler and the kernel cost model.
+  serving::AttnSimInput in;
+  Rng rng(17);
+  for (int r = 0; r < 35; ++r) {
+    in.qo_lens.push_back(1);
+    in.kv_lens.push_back(rng.UniformInt(200, 4000));
+  }
+  const auto dev = gpusim::H100Sxm80GB();
+  const auto backend = serving::FlashInferBackend();
+  for (auto _ : state) {
+    auto report = serving::SimulateBatchAttention(dev, backend, in);
+    benchmark::DoNotOptimize(report.time_us);
+  }
+}
+BENCHMARK(BM_SimulateBatchAttention);
 
 }  // namespace
 }  // namespace flashinfer

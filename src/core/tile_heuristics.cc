@@ -76,7 +76,7 @@ LaunchShape ResidencyModel(const gpusim::DeviceSpec& dev, const gpusim::Occupanc
 }
 
 gpusim::KernelEfficiency EfficiencyModel(const gpusim::DeviceSpec& dev, const KernelConfig& cfg,
-                                         int head_dim, int kv_bytes) noexcept {
+                                         int /*head_dim*/, int /*kv_bytes*/) noexcept {
   gpusim::KernelEfficiency eff;
   const bool fa3 = cfg.tmpl == gpusim::TemplateGen::kFA3;
 

@@ -10,6 +10,13 @@ RadixTree::RadixTree(int page_size) : page_size_(page_size) {
   FI_CHECK_GE(page_size, 1);
 }
 
+template <typename Mutate>
+void RadixTree::Update(Node* n, Mutate mutate) {
+  if (Evictable(n)) evictable_.erase({n->last_access, n});
+  mutate(n);
+  if (Evictable(n)) evictable_.emplace(n->last_access, n);
+}
+
 RadixTree::MatchResult RadixTree::MatchPrefix(std::span<const int32_t> tokens) {
   MatchResult result;
   Node* node = &root_;
@@ -21,7 +28,7 @@ RadixTree::MatchResult RadixTree::MatchPrefix(std::span<const int32_t> tokens) {
     const auto it = node->children.find(chunk);
     if (it == node->children.end()) break;
     node = it->second.get();
-    node->last_access = clock_;
+    Update(node, [this](Node* n) { n->last_access = clock_; });
     result.pages.push_back(node->page);
     result.matched_tokens += page_size_;
     result.node_path.push_back(node);
@@ -60,11 +67,14 @@ int64_t RadixTree::Insert(std::span<const int32_t> tokens, std::span<const int64
       child->page = pages[static_cast<size_t>(p)];
       child->parent = node;
       child->last_access = clock_;
-      it = node->children.emplace(std::move(chunk), std::move(child)).first;
+      Update(node, [&](Node* n) {
+        it = n->children.emplace(std::move(chunk), std::move(child)).first;
+      });
+      evictable_.emplace(clock_, it->second.get());
       ++inserted;
       ++total_pages_;
     } else {
-      it->second->last_access = clock_;
+      Update(it->second.get(), [this](Node* n) { n->last_access = clock_; });
     }
     node = it->second.get();
   }
@@ -73,41 +83,29 @@ int64_t RadixTree::Insert(std::span<const int32_t> tokens, std::span<const int64
 
 void RadixTree::Lock(const std::vector<void*>& path) {
   for (void* p : path) {
-    ++static_cast<Node*>(p)->lock_count;
+    Update(static_cast<Node*>(p), [](Node* n) { ++n->lock_count; });
   }
 }
 
 void RadixTree::Unlock(const std::vector<void*>& path) {
   for (void* p : path) {
-    auto* node = static_cast<Node*>(p);
-    FI_CHECK_GT(node->lock_count, 0);
-    --node->lock_count;
+    Update(static_cast<Node*>(p), [](Node* n) {
+      FI_CHECK_GT(n->lock_count, 0);
+      --n->lock_count;
+    });
   }
 }
 
 std::vector<int64_t> RadixTree::EvictLru(int64_t max_pages) {
   std::vector<int64_t> freed;
-  while (static_cast<int64_t>(freed.size()) < max_pages) {
-    // Find the unlocked leaf with the oldest access stamp.
-    Node* victim = nullptr;
-    uint64_t best = UINT64_MAX;
-    // Iterative DFS.
-    std::vector<Node*> stack{&root_};
-    while (!stack.empty()) {
-      Node* n = stack.back();
-      stack.pop_back();
-      for (auto& [key, child] : n->children) stack.push_back(child.get());
-      if (n != &root_ && n->children.empty() && n->lock_count == 0 &&
-          n->last_access < best) {
-        best = n->last_access;
-        victim = n;
-      }
-    }
-    if (victim == nullptr) break;  // Everything pinned or tree empty.
+  while (static_cast<int64_t>(freed.size()) < max_pages && !evictable_.empty()) {
+    Node* victim = evictable_.begin()->second;
+    evictable_.erase(evictable_.begin());
     freed.push_back(victim->page);
     --total_pages_;
-    Node* parent = victim->parent;
-    parent->children.erase(victim->chunk);
+    // Erasing the victim may leave its parent an evictable leaf.
+    Update(victim->parent,
+           [victim](Node* n) { n->children.erase(n->children.find(victim->chunk)); });
   }
   return freed;
 }

@@ -5,13 +5,17 @@
 // can discover shared-prefix groups for composable formats (Sec. 3.1.2).
 // Sharing granularity is one page: the tree stores one node per full page of
 // tokens. Nodes are reference-counted by in-flight requests; eviction walks
-// unlocked leaves in LRU order.
+// unlocked leaves in LRU order through an ordered index of exactly those
+// leaves, so evicting k pages costs O(k log n) rather than a tree walk per
+// page.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace flashinfer {
@@ -64,10 +68,22 @@ class RadixTree {
     std::map<std::vector<int32_t>, std::unique_ptr<Node>> children;
   };
 
+  /// Whether `n` belongs in `evictable_`: an unlocked non-root leaf.
+  bool Evictable(const Node* n) const noexcept {
+    return n != &root_ && n->children.empty() && n->lock_count == 0;
+  }
+  /// Applies `mutate` to `n`, keeping `evictable_` in step with it.
+  template <typename Mutate>
+  void Update(Node* n, Mutate mutate);
+
   int page_size_;
   uint64_t clock_ = 0;
   int64_t total_pages_ = 0;
   Node root_;
+  /// Every evictable node, oldest first. One MatchPrefix/Insert stamps one
+  /// root path, so at most one leaf holds any stamp and the order is the
+  /// LRU order alone (the pointer never breaks a tie).
+  std::set<std::pair<uint64_t, Node*>> evictable_;
 };
 
 }  // namespace flashinfer

@@ -73,22 +73,23 @@ void BatchAttentionHandle::Plan(const sparse::BsrMatrix* bsr, std::vector<int64_
   p.variant = variant_params_;  // Causal flag trims dead KV during planning.
 
   const auto t0 = std::chrono::steady_clock::now();
+  const auto units = EnumerateWorkUnits(p);
   switch (info_.scheduler) {
     case SchedulerKind::kBalanced:
-      plan_ = MakeBalancedPlan(p, cfg_, num_ctas_, workspace_->MaxPartialRows());
+      plan_ = MakeBalancedPlan(p, units, cfg_, num_ctas_, workspace_->MaxPartialRows());
       break;
     case SchedulerKind::kNaive:
-      plan_ = MakeNaivePlan(p, cfg_);
+      plan_ = MakeNaivePlan(units);
       break;
     case SchedulerKind::kFixedSplit:
-      plan_ = MakeFixedSplitPlan(p, cfg_, num_ctas_, info_.fixed_splits,
+      plan_ = MakeFixedSplitPlan(p, units, cfg_, num_ctas_, info_.fixed_splits,
                                  workspace_->MaxPartialRows());
       break;
   }
   const auto t1 = std::chrono::steady_clock::now();
   last_plan_cpu_us_ =
       std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count() / 1e3;
-  auto_l2_fraction_ = IntraBatchKvReuseFraction(p);
+  auto_l2_fraction_ = IntraBatchKvReuseFraction(p, units);
 }
 
 gpusim::SimReport BatchAttentionHandle::Run(const RaggedTensor& q, const PagedKVCache& kv,
@@ -125,7 +126,7 @@ gpusim::SimReport BatchAttentionHandle::Run(const RaggedTensor& q, const PagedKV
 
   gpusim::SimReport report = sim_.Launch(
       plan.NumCtas(), gpusim::Occupancy{shape.resident}, [&](int cta, gpusim::CtaCost& cost) {
-        for (const auto& item : plan.cta_queues[static_cast<size_t>(cta)]) {
+        for (const auto& item : plan.Queue(cta)) {
           kernel_(p, cfg_, item, sink, &cost, &cc);
         }
       });

@@ -1,7 +1,6 @@
 #include "runtime/scheduler.h"
 
 #include <algorithm>
-#include <map>
 #include <queue>
 
 #include "util/check.h"
@@ -10,21 +9,11 @@ namespace flashinfer {
 
 namespace {
 
-/// One KV chunk awaiting CTA assignment (Algorithm 1's work index w).
-struct Chunk {
-  WorkItem item;
-  int rows;
-  int64_t kv_tokens;
-};
-
-double ChunkCost(const Chunk& c, double alpha, double beta) noexcept {
-  return alpha * static_cast<double>(c.rows) + beta * static_cast<double>(c.kv_tokens);
-}
-
-/// Builds the reduction map rows for one split work unit, mirroring the
-/// kernel's fused-row mapping (Appendix A).
-void AppendMergeTasks(const AttentionParams& p, const WorkUnit& unit,
-                      const std::vector<int32_t>& chunk_bases, ReductionMap* rmap) {
+/// Builds the reduction map rows for one work unit split into `num_chunks`
+/// chunks whose partial rows start at `first_base`, `unit.rows` apart,
+/// mirroring the kernel's fused-row mapping (Appendix A).
+void AppendMergeTasks(const AttentionParams& p, const WorkUnit& unit, int32_t first_base,
+                      int64_t num_chunks, ReductionMap* rmap) {
   const auto& bsr = *p.bsr;
   const int g = p.head_fusion ? p.GroupSize() : 1;
   const int64_t row0 = bsr.row_start[static_cast<size_t>(unit.block_row)];
@@ -39,35 +28,56 @@ void AppendMergeTasks(const AttentionParams& p, const WorkUnit& unit,
     task.token_row = p.qo_indptr[static_cast<size_t>(unit.request)] + token_local;
     task.qo_head = qo_head;
     task.begin = static_cast<int32_t>(rmap->slots.size());
-    task.count = static_cast<int32_t>(chunk_bases.size());
-    for (int32_t base : chunk_bases) rmap->slots.push_back(base + i);
+    task.count = static_cast<int32_t>(num_chunks);
+    for (int64_t k = 0; k < num_chunks; ++k) {
+      rmap->slots.push_back(first_base + static_cast<int32_t>(k) * unit.rows + i);
+    }
     rmap->tasks.push_back(task);
   }
+}
+
+/// Lays `num_items` items out CTA-major into `plan`: item k (`item_at(k)`)
+/// joins CTA `owner_of(k)`'s queue, and every queue keeps its items in k
+/// order.
+template <typename OwnerFn, typename ItemFn>
+void LayOutQueues(int num_ctas, size_t num_items, OwnerFn owner_of, ItemFn item_at,
+                  Plan* plan) {
+  auto& begin = plan->cta_begin;
+  begin.assign(static_cast<size_t>(num_ctas) + 1, 0);
+  for (size_t k = 0; k < num_items; ++k) ++begin[static_cast<size_t>(owner_of(k)) + 1];
+  for (size_t c = 0; c < static_cast<size_t>(num_ctas); ++c) begin[c + 1] += begin[c];
+  std::vector<int64_t> cursor(begin.begin(), begin.end() - 1);
+  plan->items.resize(num_items);
+  for (size_t k = 0; k < num_items; ++k) {
+    plan->items[static_cast<size_t>(cursor[static_cast<size_t>(owner_of(k))]++)] = item_at(k);
+  }
+}
+
+double QueueCost(std::span<const WorkItem> queue, int tile_q, double alpha,
+                 double beta) noexcept {
+  double c = 0.0;
+  for (const auto& it : queue) {
+    c += alpha * tile_q + beta * static_cast<double>(it.kv_end - it.kv_begin);
+  }
+  return c;
 }
 
 }  // namespace
 
 double Plan::MaxCtaCost(int tile_q) const noexcept {
   double worst = 0.0;
-  for (const auto& queue : cta_queues) {
-    double c = 0.0;
-    for (const auto& it : queue) {
-      c += alpha * tile_q + beta * static_cast<double>(it.kv_end - it.kv_begin);
-    }
-    worst = std::max(worst, c);
+  for (int c = 0; c < NumCtas(); ++c) {
+    worst = std::max(worst, QueueCost(Queue(c), tile_q, alpha, beta));
   }
   return worst;
 }
 
 double Plan::MinCtaCost(int tile_q) const noexcept {
-  if (cta_queues.empty()) return 0.0;
+  if (NumCtas() == 0) return 0.0;
   double best = -1.0;
-  for (const auto& queue : cta_queues) {
-    double c = 0.0;
-    for (const auto& it : queue) {
-      c += alpha * tile_q + beta * static_cast<double>(it.kv_end - it.kv_begin);
-    }
-    if (best < 0.0 || c < best) best = c;
+  for (int c = 0; c < NumCtas(); ++c) {
+    const double cost = QueueCost(Queue(c), tile_q, alpha, beta);
+    if (best < 0.0 || cost < best) best = cost;
   }
   return best;
 }
@@ -77,6 +87,7 @@ std::vector<WorkUnit> EnumerateWorkUnits(const AttentionParams& p) {
   std::vector<WorkUnit> units;
   const int num_heads = p.head_fusion ? p.num_kv_heads : p.num_qo_heads;
   const int g = p.head_fusion ? p.GroupSize() : 1;
+  units.reserve(static_cast<size_t>(bsr.NumBlockRows() * num_heads));
   int request = 0;
   const int num_reqs = static_cast<int>(p.qo_indptr.size()) - 1;
   for (int64_t br = 0; br < bsr.NumBlockRows(); ++br) {
@@ -110,36 +121,37 @@ std::vector<WorkUnit> EnumerateWorkUnits(const AttentionParams& p) {
   return units;
 }
 
-double IntraBatchKvReuseFraction(const AttentionParams& p) {
-  const auto units = EnumerateWorkUnits(p);
+double IntraBatchKvReuseFraction(const AttentionParams& p, std::span<const WorkUnit> units) {
+  if (units.empty()) return 0.0;
   // The underlying KV data is per (request, kv head): only its first read
   // misses to HBM. Re-reads come from (a) multiple query tiles of one
   // request (prefill) and (b) multiple qo heads sharing a kv head when
   // head-group fusion is off (unfused GQA) — both hit L2. Unique bytes per
   // (request, kv head) equal the largest tile read (the last causal tile
-  // touches the whole visible KV).
-  std::map<std::pair<int32_t, int32_t>, int64_t> unique;
+  // touches the whole visible KV). Indexed request-major, so the unique sum
+  // runs in (request, kv head) order.
+  const size_t num_reqs = p.qo_indptr.size() - 1;
+  std::vector<int64_t> unique(num_reqs * static_cast<size_t>(p.num_kv_heads), 0);
   double total = 0.0;
   for (const auto& u : units) {
-    auto& mx = unique[{u.request, u.kv_head}];
+    auto& mx = unique[static_cast<size_t>(u.request) * static_cast<size_t>(p.num_kv_heads) +
+                      static_cast<size_t>(u.kv_head)];
     mx = std::max(mx, u.kv_len);
     total += static_cast<double>(u.kv_len);
   }
   if (total <= 0.0) return 0.0;
   double unique_total = 0.0;
-  for (const auto& [key, mx] : unique) unique_total += static_cast<double>(mx);
+  for (int64_t mx : unique) unique_total += static_cast<double>(mx);
   return std::max(0.0, 1.0 - unique_total / total);
 }
 
-Plan MakeBalancedPlan(const AttentionParams& p, const KernelConfig& cfg, int num_ctas,
-                      int64_t max_partial_rows, double alpha, double beta) {
+Plan MakeBalancedPlan(const AttentionParams& p, std::span<const WorkUnit> units,
+                      const KernelConfig& cfg, int num_ctas, int64_t max_partial_rows,
+                      double alpha, double beta) {
   FI_CHECK_GE(num_ctas, 1);
   Plan plan;
   plan.alpha = alpha;
   plan.beta = beta;
-  plan.cta_queues.resize(static_cast<size_t>(num_ctas));
-
-  const auto units = EnumerateWorkUnits(p);
 
   // Line 3: maximum KV chunk size, rounded up to the KV tile.
   int64_t total_kv = 0;
@@ -150,110 +162,114 @@ Plan MakeBalancedPlan(const AttentionParams& p, const KernelConfig& cfg, int num
   plan.lkv_chunk = lkv;
 
   // Line 4: split each work unit's KV into chunks of at most lkv tokens;
-  // single-chunk units write through (Appendix D.2).
-  std::vector<Chunk> chunks;
+  // single-chunk units write through (Appendix D.2). `order` pairs each
+  // chunk's cost with its index in `chunks`.
+  std::vector<WorkItem> chunks;
+  std::vector<std::pair<double, int32_t>> order;
+  chunks.reserve(units.size());
+  order.reserve(units.size());
+  const auto add_chunk = [&](const WorkUnit& u, int64_t lo, int64_t hi, int32_t dest) {
+    order.emplace_back(alpha * static_cast<double>(u.rows) + beta * static_cast<double>(hi - lo),
+                       static_cast<int32_t>(chunks.size()));
+    chunks.push_back(WorkItem{u.block_row, u.request, u.kv_head, u.qo_head, lo, hi, dest});
+  };
   int32_t next_partial_row = 0;
   for (const auto& u : units) {
     const int64_t n_chunks = u.kv_len <= lkv ? 1 : (u.kv_len + lkv - 1) / lkv;
     if (n_chunks == 1) {
-      Chunk c;
-      c.item = WorkItem{u.block_row, u.request, u.kv_head, u.qo_head, 0, u.kv_len, -1};
-      c.rows = u.rows;
-      c.kv_tokens = u.kv_len;
-      chunks.push_back(c);
+      add_chunk(u, 0, u.kv_len, -1);
       continue;
     }
-    std::vector<int32_t> bases;
+    AppendMergeTasks(p, u, next_partial_row, n_chunks, &plan.rmap);
     for (int64_t k = 0; k < n_chunks; ++k) {
       const int64_t lo = k * lkv;
-      const int64_t hi = std::min<int64_t>(u.kv_len, lo + lkv);
-      Chunk c;
-      c.item = WorkItem{u.block_row, u.request,    u.kv_head,
-                        u.qo_head,   lo,           hi,
-                        next_partial_row};
-      c.rows = u.rows;
-      c.kv_tokens = hi - lo;
-      chunks.push_back(c);
-      bases.push_back(next_partial_row);
+      add_chunk(u, lo, std::min<int64_t>(u.kv_len, lo + lkv), next_partial_row);
       next_partial_row += u.rows;
     }
-    AppendMergeTasks(p, u, bases, &plan.rmap);
   }
   plan.num_partial_rows = next_partial_row;
   FI_CHECK_LE(plan.num_partial_rows, max_partial_rows);
 
-  // Line 5: sort in descending cost order (deterministic tie-breaking).
-  std::sort(chunks.begin(), chunks.end(), [&](const Chunk& a, const Chunk& b) {
-    const double ca = ChunkCost(a, alpha, beta);
-    const double cb = ChunkCost(b, alpha, beta);
-    if (ca != cb) return ca > cb;
-    if (a.item.block_row != b.item.block_row) return a.item.block_row < b.item.block_row;
-    if (a.item.kv_head != b.item.kv_head) return a.item.kv_head < b.item.kv_head;
-    if (a.item.qo_head != b.item.qo_head) return a.item.qo_head < b.item.qo_head;
-    return a.item.kv_begin < b.item.kv_begin;
+  // Line 5: sort in descending cost order. Chunks are generated in
+  // (block_row, kv_head, qo_head, kv_begin) order, so breaking ties by
+  // index is that deterministic four-key tie-break.
+  std::sort(order.begin(), order.end(), [](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first > b.first : a.second < b.second;
   });
 
   // Lines 6-13: longest-processing-time-first onto a min-heap of CTAs.
   using HeapEntry = std::pair<double, int>;  // (accumulated cost, cta index)
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>> heap;
-  for (int c = 0; c < num_ctas; ++c) heap.emplace(0.0, c);
-  for (const auto& chunk : chunks) {
+  std::vector<HeapEntry> idle;
+  idle.reserve(static_cast<size_t>(num_ctas));
+  for (int c = 0; c < num_ctas; ++c) idle.emplace_back(0.0, c);
+  std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>> heap(
+      std::greater<>{}, std::move(idle));
+  std::vector<int32_t> owner(order.size());
+  for (size_t k = 0; k < order.size(); ++k) {
     auto [cost, cta] = heap.top();
     heap.pop();
-    plan.cta_queues[static_cast<size_t>(cta)].push_back(chunk.item);
-    heap.emplace(cost + ChunkCost(chunk, alpha, beta), cta);
+    owner[k] = cta;
+    heap.emplace(cost + order[k].first, cta);
   }
+  LayOutQueues(
+      num_ctas, order.size(), [&](size_t k) { return owner[k]; },
+      [&](size_t k) { return chunks[static_cast<size_t>(order[k].second)]; }, &plan);
   return plan;
 }
 
-Plan MakeNaivePlan(const AttentionParams& p, const KernelConfig& cfg) {
+Plan MakeBalancedPlan(const AttentionParams& p, const KernelConfig& cfg, int num_ctas,
+                      int64_t max_partial_rows, double alpha, double beta) {
+  return MakeBalancedPlan(p, EnumerateWorkUnits(p), cfg, num_ctas, max_partial_rows, alpha,
+                          beta);
+}
+
+Plan MakeNaivePlan(std::span<const WorkUnit> units) {
   Plan plan;
-  const auto units = EnumerateWorkUnits(p);
-  plan.cta_queues.reserve(units.size());
+  plan.items.reserve(units.size());
+  plan.cta_begin.reserve(units.size() + 1);
+  plan.cta_begin.push_back(0);
   for (const auto& u : units) {
-    plan.cta_queues.push_back(
-        {WorkItem{u.block_row, u.request, u.kv_head, u.qo_head, 0, u.kv_len, -1}});
+    plan.items.push_back(WorkItem{u.block_row, u.request, u.kv_head, u.qo_head, 0, u.kv_len, -1});
+    plan.cta_begin.push_back(static_cast<int64_t>(plan.items.size()));
   }
-  plan.lkv_chunk = 0;
   return plan;
 }
 
-Plan MakeFixedSplitPlan(const AttentionParams& p, const KernelConfig& cfg, int num_ctas,
-                        int num_splits, int64_t max_partial_rows) {
+Plan MakeFixedSplitPlan(const AttentionParams& p, std::span<const WorkUnit> units,
+                        const KernelConfig& cfg, int num_ctas, int num_splits,
+                        int64_t max_partial_rows) {
   FI_CHECK_GE(num_ctas, 1);
   FI_CHECK_GE(num_splits, 1);
   Plan plan;
-  plan.cta_queues.resize(static_cast<size_t>(num_ctas));
-  const auto units = EnumerateWorkUnits(p);
   const int64_t tile_kv = std::max(1, cfg.tile_kv);
 
+  // Chunk k runs on CTA k % num_ctas (round-robin in generation order).
+  std::vector<WorkItem> chunks;
+  chunks.reserve(units.size());
   int32_t next_partial_row = 0;
-  int cta = 0;
   for (const auto& u : units) {
     // Split into up to num_splits tile-aligned chunks.
     int64_t chunk_len = (u.kv_len + num_splits - 1) / num_splits;
     chunk_len = std::max<int64_t>(((chunk_len + tile_kv - 1) / tile_kv) * tile_kv, tile_kv);
     const int64_t n_chunks = u.kv_len <= chunk_len ? 1 : (u.kv_len + chunk_len - 1) / chunk_len;
     if (n_chunks == 1) {
-      plan.cta_queues[static_cast<size_t>(cta)].push_back(
-          WorkItem{u.block_row, u.request, u.kv_head, u.qo_head, 0, u.kv_len, -1});
-      cta = (cta + 1) % num_ctas;
+      chunks.push_back(WorkItem{u.block_row, u.request, u.kv_head, u.qo_head, 0, u.kv_len, -1});
       continue;
     }
-    std::vector<int32_t> bases;
+    AppendMergeTasks(p, u, next_partial_row, n_chunks, &plan.rmap);
     for (int64_t k = 0; k < n_chunks; ++k) {
       const int64_t lo = k * chunk_len;
       const int64_t hi = std::min<int64_t>(u.kv_len, lo + chunk_len);
-      plan.cta_queues[static_cast<size_t>(cta)].push_back(WorkItem{
-          u.block_row, u.request, u.kv_head, u.qo_head, lo, hi, next_partial_row});
-      bases.push_back(next_partial_row);
+      chunks.push_back(
+          WorkItem{u.block_row, u.request, u.kv_head, u.qo_head, lo, hi, next_partial_row});
       next_partial_row += u.rows;
-      cta = (cta + 1) % num_ctas;
     }
-    AppendMergeTasks(p, u, bases, &plan.rmap);
   }
   plan.num_partial_rows = next_partial_row;
   FI_CHECK_LE(plan.num_partial_rows, max_partial_rows);
+  LayOutQueues(
+      num_ctas, chunks.size(), [&](size_t k) { return static_cast<int>(k % num_ctas); },
+      [&](size_t k) { return chunks[k]; }, &plan);
   return plan;
 }
 

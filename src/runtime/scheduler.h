@@ -17,51 +17,13 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/contraction.h"
 #include "core/params.h"
 
 namespace flashinfer {
-
-/// A complete execution plan for one attention launch.
-struct Plan {
-  /// Per-CTA work queues (persistent kernel: grid size == queues.size()).
-  std::vector<std::vector<WorkItem>> cta_queues;
-  /// Partial->final output mapping for the contraction kernel.
-  ReductionMap rmap;
-  /// Partial rows required in the workspace.
-  int64_t num_partial_rows = 0;
-  /// The KV chunk cap used (diagnostic; Algorithm 1 line 3).
-  int64_t lkv_chunk = 0;
-  /// Scheduling-cost hyperparameters actually applied.
-  double alpha = 1.0;
-  double beta = 1.0;
-
-  int NumCtas() const noexcept { return static_cast<int>(cta_queues.size()); }
-  int64_t NumWorkItems() const noexcept {
-    int64_t n = 0;
-    for (const auto& q : cta_queues) n += static_cast<int64_t>(q.size());
-    return n;
-  }
-  /// Scheduled cost of the most/least loaded CTA (for balance assertions).
-  double MaxCtaCost(int tile_q) const noexcept;
-  double MinCtaCost(int tile_q) const noexcept;
-};
-
-/// Algorithm 1. `num_ctas` is the persistent grid size (k x #SM). Head
-/// multiplicity comes from the params (kv heads when fused, qo heads
-/// otherwise). `max_partial_rows` bounds workspace usage (checked).
-Plan MakeBalancedPlan(const AttentionParams& p, const KernelConfig& cfg, int num_ctas,
-                      int64_t max_partial_rows, double alpha = 1.0, double beta = 1.0);
-
-/// Baseline: no KV splitting; CTA i runs work unit i (grid = #units).
-Plan MakeNaivePlan(const AttentionParams& p, const KernelConfig& cfg);
-
-/// Baseline: every work unit's KV is split into exactly `num_splits` chunks
-/// (when long enough), round-robin over `num_ctas` CTAs.
-Plan MakeFixedSplitPlan(const AttentionParams& p, const KernelConfig& cfg, int num_ctas,
-                        int num_splits, int64_t max_partial_rows);
 
 /// Work units before chunking: every (block_row, head) pair. Exposed for
 /// tests and for the serving cost model.
@@ -75,11 +37,63 @@ struct WorkUnit {
 };
 std::vector<WorkUnit> EnumerateWorkUnits(const AttentionParams& p);
 
+/// A complete execution plan for one attention launch.
+struct Plan {
+  /// Every CTA's work queue, stored CTA-major: CTA c runs
+  /// items[cta_begin[c], cta_begin[c + 1]) in order (persistent kernel:
+  /// grid size == NumCtas()).
+  std::vector<WorkItem> items;
+  std::vector<int64_t> cta_begin;
+  /// Partial->final output mapping for the contraction kernel.
+  ReductionMap rmap;
+  /// Partial rows required in the workspace.
+  int64_t num_partial_rows = 0;
+  /// The KV chunk cap used (diagnostic; Algorithm 1 line 3).
+  int64_t lkv_chunk = 0;
+  /// Scheduling-cost hyperparameters actually applied.
+  double alpha = 1.0;
+  double beta = 1.0;
+
+  int NumCtas() const noexcept {
+    return cta_begin.empty() ? 0 : static_cast<int>(cta_begin.size() - 1);
+  }
+  int64_t NumWorkItems() const noexcept { return static_cast<int64_t>(items.size()); }
+  /// CTA `cta`'s work queue, in execution order.
+  std::span<const WorkItem> Queue(int cta) const noexcept {
+    const auto c = static_cast<size_t>(cta);
+    return {items.data() + cta_begin[c], static_cast<size_t>(cta_begin[c + 1] - cta_begin[c])};
+  }
+  /// Scheduled cost of the most/least loaded CTA (for balance assertions).
+  double MaxCtaCost(int tile_q) const noexcept;
+  double MinCtaCost(int tile_q) const noexcept;
+};
+
+/// Algorithm 1 over `units` (EnumerateWorkUnits(p)). `num_ctas` is the
+/// persistent grid size (k x #SM). Head multiplicity comes from the params
+/// (kv heads when fused, qo heads otherwise). `max_partial_rows` bounds
+/// workspace usage (checked).
+Plan MakeBalancedPlan(const AttentionParams& p, std::span<const WorkUnit> units,
+                      const KernelConfig& cfg, int num_ctas, int64_t max_partial_rows,
+                      double alpha = 1.0, double beta = 1.0);
+/// Same, enumerating the work units itself.
+Plan MakeBalancedPlan(const AttentionParams& p, const KernelConfig& cfg, int num_ctas,
+                      int64_t max_partial_rows, double alpha = 1.0, double beta = 1.0);
+
+/// Baseline: no KV splitting; CTA i runs work unit i (grid = #units).
+Plan MakeNaivePlan(std::span<const WorkUnit> units);
+
+/// Baseline: every work unit's KV is split into exactly `num_splits` chunks
+/// (when long enough), round-robin over `num_ctas` CTAs.
+Plan MakeFixedSplitPlan(const AttentionParams& p, std::span<const WorkUnit> units,
+                        const KernelConfig& cfg, int num_ctas, int num_splits,
+                        int64_t max_partial_rows);
+
 /// Fraction of the launch's KV reads served by L2 rather than HBM due to
 /// intra-batch reuse: every query tile of a request re-reads the request's
 /// KV, but only the first read per (request, head) misses to HBM. Decode
 /// (one tile per request) returns 0; long prefill approaches
-/// 1 - 1/num_tiles. Fed into CostContext::kv_l2_fraction.
-double IntraBatchKvReuseFraction(const AttentionParams& p);
+/// 1 - 1/num_tiles. Fed into CostContext::kv_l2_fraction. `units` is
+/// EnumerateWorkUnits(p).
+double IntraBatchKvReuseFraction(const AttentionParams& p, std::span<const WorkUnit> units);
 
 }  // namespace flashinfer

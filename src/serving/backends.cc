@@ -87,10 +87,10 @@ gpusim::SimReport PricePlan(const gpusim::DeviceSpec& dev, const AttentionParams
 
   gpusim::SimReport report;
   report.num_ctas = plan.NumCtas();
-  report.cta_time_us.reserve(plan.cta_queues.size());
-  for (const auto& queue : plan.cta_queues) {
+  report.cta_time_us.reserve(static_cast<size_t>(plan.NumCtas()));
+  for (int cta = 0; cta < plan.NumCtas(); ++cta) {
     gpusim::CtaCost cost;
-    for (const auto& item : queue) {
+    for (const auto& item : plan.Queue(cta)) {
       const int rows = p.bsr->RowsInBlock(item.block_row);
       const int64_t kv_tokens = item.kv_end - item.kv_begin;
       auto wc =
@@ -140,19 +140,20 @@ gpusim::SimReport PlanAndPrice(const gpusim::DeviceSpec& dev, const BackendConfi
                                const AttentionParams& p, const KernelConfig& cfg,
                                double extra_l2_fraction) {
   const int num_ctas = dev.num_sms;  // Persistent grid, k = 1.
+  const auto units = EnumerateWorkUnits(p);
   Plan plan;
   switch (backend.scheduler) {
     case SchedulerKind::kBalanced:
-      plan = MakeBalancedPlan(p, cfg, num_ctas, int64_t{1} << 40);
+      plan = MakeBalancedPlan(p, units, cfg, num_ctas, int64_t{1} << 40);
       break;
     case SchedulerKind::kNaive:
-      plan = MakeNaivePlan(p, cfg);
+      plan = MakeNaivePlan(units);
       break;
     case SchedulerKind::kFixedSplit:
-      plan = MakeFixedSplitPlan(p, cfg, num_ctas, 4, int64_t{1} << 40);
+      plan = MakeFixedSplitPlan(p, units, cfg, num_ctas, 4, int64_t{1} << 40);
       break;
   }
-  const double auto_l2 = IntraBatchKvReuseFraction(p);
+  const double auto_l2 = IntraBatchKvReuseFraction(p, units);
   const double l2_fraction = 1.0 - (1.0 - extra_l2_fraction) * (1.0 - auto_l2);
   auto report = PricePlan(dev, p, cfg, plan, backend.kv_dtype, l2_fraction);
   report.time_us *= backend.kernel_time_scale;

@@ -54,12 +54,27 @@ BsrMatrix BuildBatchBsr(const std::vector<int64_t>& qo_indptr, const std::vector
   bsr.num_rows = qo_indptr.back();
   int64_t max_page = -1;
 
-  bsr.indptr.push_back(0);
-  bsr.row_start.push_back(0);
+  // Every tile of request r holds all of its pages.
   const size_t num_reqs = kv.size();
+  size_t block_rows = 0;
+  size_t nnz = 0;
   for (size_t r = 0; r < num_reqs; ++r) {
     const int64_t rows = qo_indptr[r + 1] - qo_indptr[r];
     FI_CHECK_GE(rows, 0);
+    const auto tiles = static_cast<size_t>((rows + tile_q - 1) / tile_q);
+    block_rows += tiles;
+    nnz += tiles * kv[r].pages.size();
+  }
+  bsr.indices.reserve(nnz);
+  bsr.block_pos.reserve(nnz);
+  bsr.block_valid.reserve(nnz);
+  bsr.indptr.reserve(block_rows + 1);
+  bsr.row_start.reserve(block_rows + 1);
+
+  bsr.indptr.push_back(0);
+  bsr.row_start.push_back(0);
+  for (size_t r = 0; r < num_reqs; ++r) {
+    const int64_t rows = qo_indptr[r + 1] - qo_indptr[r];
     const auto& req = kv[r];
     if (!req.pages.empty()) {
       FI_CHECK_GE(req.last_page_len, 1);

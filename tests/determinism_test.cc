@@ -89,12 +89,14 @@ TEST(Determinism, PlanIdenticalForIdenticalLengths) {
   h2.Plan(&prob.bsr, prob.qo_indptr, spec.kv_lens);
   const auto& p1 = h1.plan();
   const auto& p2 = h2.plan();
-  ASSERT_EQ(p1.cta_queues.size(), p2.cta_queues.size());
-  for (size_t c = 0; c < p1.cta_queues.size(); ++c) {
-    ASSERT_EQ(p1.cta_queues[c].size(), p2.cta_queues[c].size());
-    for (size_t i = 0; i < p1.cta_queues[c].size(); ++i) {
-      EXPECT_EQ(p1.cta_queues[c][i].kv_begin, p2.cta_queues[c][i].kv_begin);
-      EXPECT_EQ(p1.cta_queues[c][i].dest, p2.cta_queues[c][i].dest);
+  ASSERT_EQ(p1.NumCtas(), p2.NumCtas());
+  for (int c = 0; c < p1.NumCtas(); ++c) {
+    const auto q1 = p1.Queue(c);
+    const auto q2 = p2.Queue(c);
+    ASSERT_EQ(q1.size(), q2.size());
+    for (size_t i = 0; i < q1.size(); ++i) {
+      EXPECT_EQ(q1[i].kv_begin, q2[i].kv_begin);
+      EXPECT_EQ(q1[i].dest, q2[i].dest);
     }
   }
   EXPECT_EQ(p1.rmap.slots, p2.rmap.slots);

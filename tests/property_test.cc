@@ -49,8 +49,8 @@ TEST_P(BalancedPlanSweep, CoverageAndBoundsHoldForAnyConfiguration) {
 
   // 1. Exactly-once coverage of every (unit, kv token).
   std::map<std::tuple<int, int, int>, int64_t> covered;
-  for (const auto& queue : plan.cta_queues) {
-    for (const auto& item : queue) {
+  for (int c = 0; c < plan.NumCtas(); ++c) {
+    for (const auto& item : plan.Queue(c)) {
       covered[{item.block_row, item.kv_head, item.qo_head}] += item.kv_end - item.kv_begin;
     }
   }
@@ -61,8 +61,8 @@ TEST_P(BalancedPlanSweep, CoverageAndBoundsHoldForAnyConfiguration) {
   }
 
   // 2. Chunk cap respected; partial rows within the Appendix D.3 bound.
-  for (const auto& queue : plan.cta_queues) {
-    for (const auto& item : queue) {
+  for (int c = 0; c < plan.NumCtas(); ++c) {
+    for (const auto& item : plan.Queue(c)) {
       EXPECT_LE(item.kv_end - item.kv_begin, plan.lkv_chunk);
     }
   }
@@ -70,8 +70,8 @@ TEST_P(BalancedPlanSweep, CoverageAndBoundsHoldForAnyConfiguration) {
 
   // 3. LPT balance: max CTA cost within one chunk of the average.
   double total = 0.0;
-  for (const auto& queue : plan.cta_queues) {
-    for (const auto& item : queue) {
+  for (int c = 0; c < plan.NumCtas(); ++c) {
+    for (const auto& item : plan.Queue(c)) {
       total += sp.alpha * cfg.tile_q + sp.beta * static_cast<double>(item.kv_end - item.kv_begin);
     }
   }
