@@ -43,7 +43,7 @@ void RunVariant(const char* title, const std::shared_ptr<jit::CompiledKernel>& k
   info.head_dim = head_dim;
   BatchAttentionHandle handle(gpusim::H100Sxm80GB(), info, &ws);
   // Swap in the JIT-compiled kernel (overrides the built-in dispatch).
-  handle.SetKernel(kernel->fn(), kernel->use_softmax());
+  handle.SetKernel(kernel->fn(), kernel->use_softmax(), kernel->has_qk_transform());
   auto& vp = handle.MutableVariantParams();
   vp.sm_scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
   vp.causal = true;

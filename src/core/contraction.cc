@@ -1,11 +1,10 @@
 #include "core/contraction.h"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 
 #include "core/attention_state.h"
-#include "util/check.h"
+#include "util/threadpool.h"
 
 namespace flashinfer {
 
@@ -42,36 +41,10 @@ void MergeOneTask(const AttentionParams& p, const ReductionMap& rmap,
 
 }  // namespace
 
-gpusim::SimReport RunContraction(const AttentionParams& p, const ReductionMap& rmap,
-                                 const PartialSink& partials, bool use_softmax,
-                                 const gpusim::SimExecutor* sim, const CostContext* cc) {
-  const int num_tasks = static_cast<int>(rmap.tasks.size());
-  if (num_tasks == 0) return {};
-
-  if (sim == nullptr) {
-    for (const auto& task : rmap.tasks) {
-      MergeOneTask(p, rmap, task, partials, use_softmax);
-    }
-    return {};
-  }
-
-  // Persistent contraction kernel: grid fixed at the SM count, tasks strided
-  // across CTAs (deterministic assignment).
-  const int num_ctas = std::min(num_tasks, sim->device().num_sms);
-  return sim->Launch(num_ctas, gpusim::Occupancy{1}, [&](int cta, gpusim::CtaCost& cost) {
-    for (int t = cta; t < num_tasks; t += num_ctas) {
-      const auto& task = rmap.tasks[static_cast<size_t>(t)];
-      MergeOneTask(p, rmap, task, partials, use_softmax);
-      if (cc != nullptr && cc->dev != nullptr) {
-        gpusim::WorkCost wc;
-        // Read `count` partial rows (fp32 O + LSE), write one fp16 row.
-        wc.hbm_bytes = static_cast<double>(task.count) * (p.head_dim + 1) * 4.0 +
-                       static_cast<double>(p.head_dim) * 2.0;
-        wc.cuda_flops = static_cast<double>(task.count) * (2.0 * p.head_dim + 8.0);
-        cost.Charge(*cc->dev, cc->eff, wc, cc->kv_bytes, num_ctas,
-                    gpusim::kMergeRowOverheadUs);
-      }
-    }
+void RunContraction(const AttentionParams& p, const ReductionMap& rmap,
+                    const PartialSink& partials, bool use_softmax) {
+  ThreadPool::Global().ParallelFor(static_cast<int64_t>(rmap.tasks.size()), [&](int64_t t) {
+    MergeOneTask(p, rmap, rmap.tasks[static_cast<size_t>(t)], partials, use_softmax);
   });
 }
 

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/params.h"
-#include "gpusim/executor.h"
 
 namespace flashinfer {
 
@@ -31,10 +30,9 @@ struct ReductionMap {
 
 /// Executes the contraction kernel: for every task, left-folds its partial
 /// (O, LSE) rows with ⊕ (plain summation when `use_softmax` is false) and
-/// writes the final output row. Returns the simulated launch report (zero
-/// when `sim` is null).
-gpusim::SimReport RunContraction(const AttentionParams& p, const ReductionMap& rmap,
-                                 const PartialSink& partials, bool use_softmax,
-                                 const gpusim::SimExecutor* sim, const CostContext* cc);
+/// writes the final output row. Tasks fan out over the global thread pool;
+/// each writes a distinct output row.
+void RunContraction(const AttentionParams& p, const ReductionMap& rmap,
+                    const PartialSink& partials, bool use_softmax);
 
 }  // namespace flashinfer

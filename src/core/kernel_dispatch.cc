@@ -24,27 +24,37 @@ WorkItemFn SelectForDtype(DType kv_dtype) {
   return nullptr;
 }
 
+/// Calls `fn` with a value of the built-in variant type named by `kind`.
+template <typename Fn>
+auto VisitVariant(VariantKind kind, Fn&& fn) {
+  switch (kind) {
+    case VariantKind::kVanilla:
+      return fn(VanillaVariant{});
+    case VariantKind::kSoftCap:
+      return fn(SoftCapVariant{});
+    case VariantKind::kAlibi:
+      return fn(AlibiVariant{});
+    case VariantKind::kSlidingWindow:
+      return fn(SlidingWindowVariant{});
+    case VariantKind::kStreamingLlm:
+      return fn(StreamingLlmVariant{});
+    case VariantKind::kSigmoid:
+      return fn(SigmoidVariant{});
+    case VariantKind::kFusedRope:
+      return fn(FusedRopeVariant{});
+  }
+  FI_CHECK(false);
+  return fn(VanillaVariant{});
+}
+
 }  // namespace
 
 WorkItemFn GetBuiltinKernel(VariantKind kind, DType kv_dtype) {
-  switch (kind) {
-    case VariantKind::kVanilla:
-      return SelectForDtype<VanillaVariant>(kv_dtype);
-    case VariantKind::kSoftCap:
-      return SelectForDtype<SoftCapVariant>(kv_dtype);
-    case VariantKind::kAlibi:
-      return SelectForDtype<AlibiVariant>(kv_dtype);
-    case VariantKind::kSlidingWindow:
-      return SelectForDtype<SlidingWindowVariant>(kv_dtype);
-    case VariantKind::kStreamingLlm:
-      return SelectForDtype<StreamingLlmVariant>(kv_dtype);
-    case VariantKind::kSigmoid:
-      return SelectForDtype<SigmoidVariant>(kv_dtype);
-    case VariantKind::kFusedRope:
-      return SelectForDtype<FusedRopeVariant>(kv_dtype);
-  }
-  FI_CHECK(false);
-  return nullptr;
+  return VisitVariant(kind, [kv_dtype](auto v) { return SelectForDtype<decltype(v)>(kv_dtype); });
+}
+
+bool BuiltinHasQKTransform(VariantKind kind) {
+  return VisitVariant(kind, [](auto v) { return decltype(v)::kHasQKTransform; });
 }
 
 }  // namespace flashinfer

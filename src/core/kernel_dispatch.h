@@ -12,12 +12,16 @@
 
 namespace flashinfer {
 
-/// Executes one attention work item.
+/// Executes one attention work item (math only; PricePlan prices the launch).
 using WorkItemFn = void (*)(const AttentionParams&, const KernelConfig&, const WorkItem&,
-                            const PartialSink&, gpusim::CtaCost*, const CostContext*);
+                            const PartialSink&);
 
 /// Returns the precompiled kernel for (variant, kv dtype). Aborts on an
 /// unsupported dtype (mirrors FlashInfer's dispatch-time checks).
 WorkItemFn GetBuiltinKernel(VariantKind kind, DType kv_dtype);
+
+/// The built-in variant's `kHasQKTransform`: whether its kernel transforms Q
+/// and K in place (priced as extra CUDA-core work).
+bool BuiltinHasQKTransform(VariantKind kind);
 
 }  // namespace flashinfer

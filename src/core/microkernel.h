@@ -4,7 +4,9 @@
 // (Br fused rows) against one KV chunk, maintaining the online-softmax
 // running state (m, d, acc) across KV tiles and emitting either a normalized
 // final output (writethrough) or a partial (O, LSE) state for the
-// contraction kernel.
+// contraction kernel. Kernels only compute: the simulated cost of a launch is
+// a function of its plan alone and is priced by PricePlan
+// (runtime/scheduler.h).
 //
 // Sparse KV tiles are staged through a contiguous scratch buffer exactly as
 // Fig. 4 describes (gather rows via BSR indices, then run the dense inner
@@ -57,7 +59,7 @@ inline KernelScratch& TlsScratch() {
 
 template <typename KVT, typename Variant>
 void RunWorkItem(const AttentionParams& p, const KernelConfig& cfg, const WorkItem& item,
-                 const PartialSink& sink, gpusim::CtaCost* cost, const CostContext* cc) {
+                 const PartialSink& sink) {
   const Variant variant;
   const auto& bsr = *p.bsr;
   const auto& kvc = *p.kv;
@@ -104,7 +106,6 @@ void RunWorkItem(const AttentionParams& p, const KernelConfig& cfg, const WorkIt
   s.keep.resize(static_cast<size_t>(tile_kv));
 
   int64_t cursor = 0;  // Valid-KV coordinate of the current block's start.
-  int64_t chunk_tokens = 0;
   int filled = 0;  // Tokens staged in the current tile.
 
   // One FA2 tile step per query row: score the whole tile into `score`,
@@ -202,7 +203,6 @@ void RunWorkItem(const AttentionParams& p, const KernelConfig& cfg, const WorkIt
       }
       s.kv_pos[static_cast<size_t>(filled)] = kv_pos;
       ++filled;
-      ++chunk_tokens;
       if (filled == tile_kv) {
         flush_tile(filled);
         filled = 0;
@@ -237,20 +237,6 @@ void RunWorkItem(const AttentionParams& p, const KernelConfig& cfg, const WorkIt
         (*p.lse)[static_cast<size_t>(rm.token_row) * p.num_qo_heads + rm.qo_head] = lse;
       }
     }
-  }
-
-  // --- Simulated cost. -----------------------------------------------------
-  if (cost != nullptr && cc != nullptr && cc->dev != nullptr) {
-    gpusim::WorkCost wc = AttentionWorkItemCost(rows, chunk_tokens, d_dim, cc->kv_bytes,
-                                                Variant::kHasQKTransform, partial);
-    if (cc->kv_l2_fraction > 0.0) {
-      const double kv_bytes =
-          static_cast<double>(chunk_tokens) * 2.0 * d_dim * cc->kv_bytes;
-      const double to_l2 = kv_bytes * cc->kv_l2_fraction;
-      wc.hbm_bytes -= to_l2;
-      wc.l2_bytes += to_l2;
-    }
-    cost->Charge(*cc->dev, cc->eff, wc, cc->kv_bytes, cc->slots);
   }
 }
 

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/variant.h"
-#include "gpusim/cost.h"
 #include "gpusim/device.h"
 #include "kvcache/paged.h"
 #include "kvcache/ragged.h"
@@ -84,46 +83,5 @@ struct PartialSink {
   float* o = nullptr;    // [num_partial_rows, head_dim]
   float* lse = nullptr;  // [num_partial_rows]
 };
-
-/// Simulated-cost context for a kernel launch; null device disables
-/// accounting (pure-math mode for tests).
-struct CostContext {
-  const gpusim::DeviceSpec* dev = nullptr;
-  gpusim::KernelEfficiency eff;
-  int kv_bytes = 2;
-  /// Concurrently resident CTAs sharing the device's bandwidth/compute
-  /// (min(grid size, #SM x occupancy) for the launch).
-  int slots = 1;
-  /// Fraction of KV traffic served from L2 instead of HBM (cross-CTA reuse
-  /// of shared pages; see Sec. 3.1.2 discussion of single-format reuse).
-  double kv_l2_fraction = 0.0;
-};
-
-/// Byte/flop charges for one attention work item; shared by the executing
-/// kernel and the plan-only serving cost model. Inline so JIT-generated
-/// kernels can use it without linking the core library.
-inline gpusim::WorkCost AttentionWorkItemCost(int rows, int64_t kv_tokens, int head_dim,
-                                              int kv_bytes, bool has_qk_transform,
-                                              bool partial_output) {
-  gpusim::WorkCost wc;
-  const double d = head_dim;
-  // Q tile load (fp16 storage width) + K/V chunk load at KV width. The KV
-  // bytes are charged once per work item regardless of `rows`: all rows of
-  // the tile reuse the staged tile through shared memory — the core reuse
-  // effect behind composable formats and head-group fusion.
-  wc.hbm_bytes = rows * d * 2.0 + static_cast<double>(kv_tokens) * 2.0 * d * kv_bytes;
-  // Output: partial states spill fp32 O + LSE to the workspace; writethrough
-  // emits the final fp16 row.
-  wc.hbm_bytes += partial_output ? rows * (d + 1.0) * 4.0 : rows * d * 2.0;
-  // QK^T and PV matmuls.
-  wc.tensor_flops = 4.0 * rows * static_cast<double>(kv_tokens) * d;
-  // Online softmax: exp + max/sum updates per logit.
-  wc.cuda_flops = 6.0 * rows * static_cast<double>(kv_tokens);
-  if (has_qk_transform) {
-    // Fused RoPE-style transforms: ~10 flops per element of Q tile and K chunk.
-    wc.cuda_flops += 10.0 * d * (rows + static_cast<double>(kv_tokens));
-  }
-  return wc;
-}
 
 }  // namespace flashinfer

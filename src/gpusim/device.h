@@ -4,9 +4,9 @@
 // utilisation, kernel latency, ITL/TTFT) are all functions of (a) how work is
 // distributed over SMs and (b) how many bytes/flops each work item moves.
 // `DeviceSpec` captures the machine constants of the two GPUs the paper uses;
-// the executor (executor.h) charges each simulated CTA a roofline time per
-// work item and computes the kernel makespan with the same greedy CTA
-// dispatch real GPUs use.
+// the pricer (PricePlan, runtime/scheduler.h) charges each simulated CTA a
+// roofline time per work item, and executor.h computes the kernel makespan
+// with the same greedy CTA dispatch real GPUs use.
 #pragma once
 
 namespace flashinfer::gpusim {

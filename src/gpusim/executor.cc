@@ -1,9 +1,7 @@
 #include "gpusim/executor.h"
 
+#include <functional>
 #include <queue>
-
-#include "util/check.h"
-#include "util/threadpool.h"
 
 namespace flashinfer::gpusim {
 
@@ -29,34 +27,6 @@ double SimExecutor::Makespan(const std::vector<double>& cta_times, int slots) no
     if (end > makespan) makespan = end;
   }
   return makespan;
-}
-
-SimReport SimExecutor::Launch(int num_ctas, const Occupancy& occ,
-                              const std::function<void(int, CtaCost&)>& body) const {
-  FI_CHECK_GE(num_ctas, 0);
-  SimReport report;
-  report.num_ctas = num_ctas;
-  if (num_ctas == 0) {
-    report.time_us = dev_.kernel_launch_us;
-    return report;
-  }
-
-  std::vector<CtaCost> costs(static_cast<size_t>(num_ctas));
-  ThreadPool::Global().ParallelFor(num_ctas, [&](int64_t cta) {
-    body(static_cast<int>(cta), costs[static_cast<size_t>(cta)]);
-  });
-
-  report.cta_time_us.reserve(costs.size());
-  for (const auto& c : costs) {
-    report.cta_time_us.push_back(c.time_us);
-    report.total_hbm_bytes += c.total.hbm_bytes;
-    report.total_l2_bytes += c.total.l2_bytes;
-    report.total_tensor_flops += c.total.tensor_flops;
-    report.total_cuda_flops += c.total.cuda_flops;
-  }
-  const int slots = dev_.num_sms * std::max(1, occ.ctas_per_sm);
-  report.time_us = Makespan(report.cta_time_us, slots) + dev_.kernel_launch_us;
-  return report;
 }
 
 }  // namespace flashinfer::gpusim

@@ -41,7 +41,6 @@ std::string GenerateSource(const AttentionSpecDesc& spec) {
   ValidateSpec(spec);
   std::ostringstream os;
   os << "// Generated by flashinfer-sim JIT. Spec: " << spec.name << "\n"
-     << "// Hash: " << SpecHash(spec) << "\n"
      << "#include <cmath>\n"
      << "#include <cstdint>\n"
      << "#include <span>\n"
@@ -93,13 +92,13 @@ std::string GenerateSource(const AttentionSpecDesc& spec) {
   // Type-erased entry points (the analog of registering a torch custom op).
   os << "extern \"C\" void " << kEntrySymbol
      << "(const fi::AttentionParams& p, const fi::KernelConfig& cfg,\n"
-     << "     const fi::WorkItem& item, const fi::PartialSink& sink,\n"
-     << "     fi::gpusim::CtaCost* cost, const fi::CostContext* cc) {\n"
+     << "     const fi::WorkItem& item, const fi::PartialSink& sink) {\n"
      << "  fi::RunWorkItem<" << KvTypeName(spec.kv_dtype) << ", " << spec.name
-     << ">(p, cfg, item, sink, cost, cc);\n"
+     << ">(p, cfg, item, sink);\n"
      << "}\n\n"
      << "extern \"C\" uint32_t " << kFlagsSymbol << "() {\n"
-     << "  return " << (spec.use_softmax ? 1u : 0u) << "u;\n"
+     << "  return " << ((spec.use_softmax ? 1u : 0u) | (spec.has_qk_transform ? 2u : 0u))
+     << "u;\n"
      << "}\n";
   return os.str();
 }

@@ -12,7 +12,8 @@ namespace flashinfer::jit {
 
 /// Symbol exported by every generated kernel.
 inline constexpr const char* kEntrySymbol = "fi_variant_run";
-/// Symbol exporting the spec flags (use_softmax) for load-time checks.
+/// Symbol exporting the spec flags for load-time checks: bit 0 is
+/// use_softmax, bit 1 has_qk_transform.
 inline constexpr const char* kFlagsSymbol = "fi_variant_flags";
 
 /// Renders the full C++ source for `spec`.

@@ -22,7 +22,7 @@ namespace flashinfer::jit {
 namespace {
 
 std::mutex g_mu;
-std::unordered_map<uint64_t, std::shared_ptr<CompiledKernel>> g_registry;
+std::unordered_map<uint64_t, std::shared_ptr<CompiledKernel>> g_registry;  // By CompileKey.
 JitCacheStats g_stats;
 
 bool FileExists(const std::string& path) {
@@ -35,6 +35,20 @@ void EnsureDir(const std::string& path) {
 }
 
 int RunCommand(const std::string& cmd) { return std::system(cmd.c_str()); }
+
+/// FNV-1a over the generated source, the compiler and its flags.
+uint64_t CompileKey(const std::string& source, const JitOptions& opts) {
+  uint64_t h = 0xCBF29CE484222325ull;
+  for (const std::string* part : {&source, &opts.compiler, &opts.extra_flags}) {
+    for (unsigned char c : *part) {
+      h ^= c;
+      h *= 0x100000001B3ull;
+    }
+    h ^= 0xFF;  // Part separator.
+    h *= 0x100000001B3ull;
+  }
+  return h;
+}
 
 std::string ReadFile(const std::string& path) {
   std::ifstream in(path);
@@ -52,15 +66,20 @@ std::shared_ptr<CompiledKernel> LoadSo(const std::string& so_path) {
   FI_CHECK(fn != nullptr);
   auto* flags_fn = reinterpret_cast<uint32_t (*)()>(::dlsym(handle, kFlagsSymbol));
   FI_CHECK(flags_fn != nullptr);
-  const bool use_softmax = (flags_fn() & 1u) != 0;
-  return std::make_shared<CompiledKernel>(handle, fn, use_softmax, so_path);
+  const uint32_t flags = flags_fn();
+  return std::make_shared<CompiledKernel>(handle, fn, (flags & 1u) != 0, (flags & 2u) != 0,
+                                          so_path);
 }
 
 }  // namespace
 
 CompiledKernel::CompiledKernel(void* dl_handle, WorkItemFn fn, bool use_softmax,
-                               std::string so_path)
-    : dl_handle_(dl_handle), fn_(fn), use_softmax_(use_softmax), so_path_(std::move(so_path)) {}
+                               bool has_qk_transform, std::string so_path)
+    : dl_handle_(dl_handle),
+      fn_(fn),
+      use_softmax_(use_softmax),
+      has_qk_transform_(has_qk_transform),
+      so_path_(std::move(so_path)) {}
 
 CompiledKernel::~CompiledKernel() {
   if (dl_handle_ != nullptr) ::dlclose(dl_handle_);
@@ -73,24 +92,23 @@ bool CompilerAvailable(const JitOptions& opts) {
 
 std::shared_ptr<CompiledKernel> CompileVariant(const AttentionSpecDesc& spec,
                                                const JitOptions& opts) {
-  ValidateSpec(spec);
-  const uint64_t hash = SpecHash(spec);
+  const std::string source = GenerateSource(spec);  // Validates the spec.
+  const uint64_t key = CompileKey(source, opts);
 
   std::lock_guard<std::mutex> lock(g_mu);
-  if (const auto it = g_registry.find(hash); it != g_registry.end()) {
+  if (const auto it = g_registry.find(key); it != g_registry.end()) {
     ++g_stats.memory_hits;
     return it->second;
   }
 
   EnsureDir(opts.cache_dir);
   std::ostringstream base;
-  base << opts.cache_dir << "/" << spec.name << "_" << std::hex << hash;
+  base << opts.cache_dir << "/" << spec.name << "_" << std::hex << key;
   const std::string src_path = base.str() + ".cpp";
   const std::string so_path = base.str() + ".so";
   const std::string log_path = base.str() + ".log";
 
   if (!FileExists(so_path)) {
-    const std::string source = GenerateSource(spec);
     {
       std::ofstream out(src_path);
       FI_CHECK(out.good());
@@ -116,7 +134,8 @@ std::shared_ptr<CompiledKernel> CompileVariant(const AttentionSpecDesc& spec,
 
   auto kernel = LoadSo(so_path);
   FI_CHECK_EQ(kernel->use_softmax(), spec.use_softmax);
-  g_registry.emplace(hash, kernel);
+  FI_CHECK_EQ(kernel->has_qk_transform(), spec.has_qk_transform);
+  g_registry.emplace(key, kernel);
   return kernel;
 }
 

@@ -2,10 +2,13 @@
 // dlopen -> type-erased kernel (the host-compiler analog of FlashInfer's
 // NVRTC/torch-extension path, Sec. 3.2.3).
 //
-// Compiled objects are cached twice: an in-process registry keyed by spec
-// hash (repeat CompileVariant calls return the same handle) and an on-disk
-// cache of .so files (repeat processes skip compilation entirely), matching
-// the paper's "kernels are JIT-compiled at init time and cached for reuse".
+// Compiled objects are cached twice: an in-process registry (repeat
+// CompileVariant calls return the same handle) and an on-disk cache of .so
+// files (repeat processes skip compilation entirely), matching the paper's
+// "kernels are JIT-compiled at init time and cached for reuse". Both are keyed
+// on the generated source, the compiler and its flags, so a change to the
+// codegen or the kernel entry ABI never loads a stale object. Headers the
+// source includes are not part of the key.
 #pragma once
 
 #include <memory>
@@ -31,19 +34,22 @@ struct JitOptions {
 /// object (kernel function pointers must not outlive it).
 class CompiledKernel {
  public:
-  CompiledKernel(void* dl_handle, WorkItemFn fn, bool use_softmax, std::string so_path);
+  CompiledKernel(void* dl_handle, WorkItemFn fn, bool use_softmax, bool has_qk_transform,
+                 std::string so_path);
   ~CompiledKernel();
   CompiledKernel(const CompiledKernel&) = delete;
   CompiledKernel& operator=(const CompiledKernel&) = delete;
 
   WorkItemFn fn() const noexcept { return fn_; }
   bool use_softmax() const noexcept { return use_softmax_; }
+  bool has_qk_transform() const noexcept { return has_qk_transform_; }
   const std::string& so_path() const noexcept { return so_path_; }
 
  private:
   void* dl_handle_;
   WorkItemFn fn_;
   bool use_softmax_;
+  bool has_qk_transform_;
   std::string so_path_;
 };
 

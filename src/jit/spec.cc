@@ -17,36 +17,7 @@ bool IsIdentifier(const std::string& s) {
   return true;
 }
 
-void MixString(uint64_t& h, const std::string& s) {
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001B3ull;  // FNV-1a.
-  }
-  h ^= 0xFF;
-  h *= 0x100000001B3ull;
-}
-
 }  // namespace
-
-uint64_t SpecHash(const AttentionSpecDesc& spec) {
-  uint64_t h = 0xCBF29CE484222325ull;
-  MixString(h, spec.name);
-  MixString(h, std::string(DTypeName(spec.kv_dtype)));
-  h ^= static_cast<uint64_t>(spec.use_softmax) | (static_cast<uint64_t>(spec.has_qk_transform) << 1);
-  h *= 0x100000001B3ull;
-  MixString(h, spec.logits_transform_body);
-  MixString(h, spec.logits_mask_body);
-  MixString(h, spec.query_transform_body);
-  MixString(h, spec.key_transform_body);
-  MixString(h, spec.output_transform_body);
-  MixString(h, spec.preamble);
-  for (const auto& [name, value] : spec.extra_params) {
-    MixString(h, name);
-    h ^= static_cast<uint64_t>(static_cast<uint32_t>(value * 65536.0f));
-    h *= 0x100000001B3ull;
-  }
-  return h;
-}
 
 void ValidateSpec(const AttentionSpecDesc& spec) {
   FI_CHECK(IsIdentifier(spec.name));

@@ -47,9 +47,6 @@ struct AttentionSpecDesc {
   std::string preamble;
 };
 
-/// Stable content hash of a spec (kernel-cache key).
-uint64_t SpecHash(const AttentionSpecDesc& spec);
-
 /// Validates identifier rules and body sanity; aborts with a message on
 /// invalid specs (compile errors should name the spec, not g++ internals).
 void ValidateSpec(const AttentionSpecDesc& spec);

@@ -1,6 +1,7 @@
 #include "kvcache/paged.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace flashinfer {
 
@@ -102,14 +103,16 @@ void PagedKVCache::FreeBlobSlot(int64_t slot) {
 }
 
 int PagedKVCache::CreateSequence() {
+  Sequence fresh;
+  fresh.live = true;
   // Reuse a dead slot if any.
   for (size_t i = 0; i < seqs_.size(); ++i) {
     if (!seqs_[i].live) {
-      seqs_[i] = Sequence{{}, 0, true};
+      seqs_[i] = std::move(fresh);
       return static_cast<int>(i);
     }
   }
-  seqs_.push_back(Sequence{{}, 0, true});
+  seqs_.push_back(std::move(fresh));
   return static_cast<int>(seqs_.size() - 1);
 }
 

@@ -2,6 +2,9 @@
 
 #include <chrono>
 
+#include "core/tile_heuristics.h"
+#include "util/threadpool.h"
+
 namespace flashinfer {
 
 namespace {
@@ -22,30 +25,32 @@ uint64_t HashLens(const std::vector<int64_t>& a, const std::vector<int64_t>& b,
 
 BatchAttentionHandle::BatchAttentionHandle(gpusim::DeviceSpec dev, TaskInfo info,
                                            Workspace* workspace)
-    : sim_(std::move(dev)), info_(info), workspace_(workspace) {
+    : dev_(std::move(dev)), info_(info), workspace_(workspace) {
   FI_CHECK(workspace_ != nullptr);
   FI_CHECK_EQ(info_.num_qo_heads % info_.num_kv_heads, 0);
   const double fused_hint =
       info_.head_fusion ? info_.avg_qlen_hint * (info_.num_qo_heads / info_.num_kv_heads)
                         : info_.avg_qlen_hint;
-  cfg_ = SelectKernelConfig(sim_.device(), fused_hint, info_.head_dim,
+  cfg_ = SelectKernelConfig(dev_, fused_hint, info_.head_dim,
                             DTypeBytes(info_.kv_dtype), info_.sparse);
   cfg_.head_fusion = info_.head_fusion;
   kernel_ = GetBuiltinKernel(info_.variant, info_.kv_dtype);
   use_softmax_ = info_.variant != VariantKind::kSigmoid;
+  has_qk_transform_ = BuiltinHasQKTransform(info_.variant);
   variant_params_.num_qo_heads = info_.num_qo_heads;
 
   // Persistent grid: one CTA per SM (Appendix D.3: k is 1 on Hopper and at
   // most 2 on Ampere; k=1 also maximizes the chunk size Lkv, which keeps the
   // LPT assignment balanced when work units are many).
-  num_ctas_ = sim_.device().num_sms;
+  num_ctas_ = dev_.num_sms;
   workspace_->Bind(info_.head_dim);
 }
 
-void BatchAttentionHandle::SetKernel(WorkItemFn fn, bool use_softmax) {
+void BatchAttentionHandle::SetKernel(WorkItemFn fn, bool use_softmax, bool has_qk_transform) {
   FI_CHECK(fn != nullptr);
   kernel_ = fn;
   use_softmax_ = use_softmax;
+  has_qk_transform_ = has_qk_transform;
 }
 
 void BatchAttentionHandle::Plan(const sparse::BsrMatrix* bsr, std::vector<int64_t> qo_indptr,
@@ -110,31 +115,16 @@ gpusim::SimReport BatchAttentionHandle::Run(const RaggedTensor& q, const PagedKV
   p.head_fusion = info_.head_fusion;
   p.variant = variant_params_;
 
-  CostContext cc;
-  cc.dev = &sim_.device();
-  cc.kv_bytes = DTypeBytes(info_.kv_dtype);
-  cc.eff = EfficiencyModel(sim_.device(), cfg_, info_.head_dim, cc.kv_bytes);
-  // Compose cross-request reuse (bench knob) with intra-batch tile reuse.
-  cc.kv_l2_fraction = 1.0 - (1.0 - kv_l2_fraction_) * (1.0 - auto_l2_fraction_);
-
   PartialSink sink{workspace_->PartialO(), workspace_->PartialLse()};
   const auto& plan = *plan_;
-  const auto occ = OccupancyModel(sim_.device(), cfg_, info_.head_dim, cc.kv_bytes);
-  const auto shape = ResidencyModel(sim_.device(), occ, plan.NumCtas());
-  cc.slots = shape.slots;
-  cc.eff.mem *= shape.mem_scale;
+  ThreadPool::Global().ParallelFor(plan.NumCtas(), [&](int64_t cta) {
+    for (const auto& item : plan.Queue(static_cast<int>(cta))) kernel_(p, cfg_, item, sink);
+  });
+  if (!plan.rmap.Empty()) RunContraction(p, plan.rmap, sink, use_softmax_);
 
-  gpusim::SimReport report = sim_.Launch(
-      plan.NumCtas(), gpusim::Occupancy{shape.resident}, [&](int cta, gpusim::CtaCost& cost) {
-        for (const auto& item : plan.Queue(cta)) {
-          kernel_(p, cfg_, item, sink, &cost, &cc);
-        }
-      });
-
-  if (!plan.rmap.Empty()) {
-    report.Append(RunContraction(p, plan.rmap, sink, use_softmax_, &sim_, &cc));
-  }
-  return report;
+  // Compose cross-request reuse (bench knob) with intra-batch tile reuse.
+  const double l2_fraction = 1.0 - (1.0 - kv_l2_fraction_) * (1.0 - auto_l2_fraction_);
+  return PricePlan(dev_, p, cfg_, plan, info_.kv_dtype, has_qk_transform_, l2_fraction);
 }
 
 void BatchAttentionHandle::CaptureRun(gpusim::CudaGraph& graph, const std::string& slot,

@@ -6,6 +6,9 @@
 //   handle.Run(q, kv, &o);                 // GPU: persistent attention +
 //                                          //      contraction kernels
 //
+// Run executes the math on the thread pool and returns PricePlan's price of
+// the cached plan — the same function the serving cost model calls.
+//
 // Kernels are resolved at construction ("init time JIT") from the built-in
 // registry or injected from the JIT compiler; plans are cached by sequence-
 // length signature so all layers of one generation step reuse one plan; Run
@@ -18,8 +21,6 @@
 #include <vector>
 
 #include "core/kernel_dispatch.h"
-#include "core/tile_heuristics.h"
-#include "gpusim/executor.h"
 #include "gpusim/graph.h"
 #include "runtime/scheduler.h"
 #include "runtime/workspace.h"
@@ -53,18 +54,19 @@ class BatchAttentionHandle {
 
   BatchAttentionHandle(gpusim::DeviceSpec dev, TaskInfo info, Workspace* workspace);
 
-  /// Injects a JIT-compiled kernel (overrides the built-in for `variant`).
-  void SetKernel(WorkItemFn fn, bool use_softmax);
+  /// Injects a JIT-compiled kernel (overrides the built-in for `variant`);
+  /// the flags are the kernel variant's (priced by Run).
+  void SetKernel(WorkItemFn fn, bool use_softmax, bool has_qk_transform = false);
 
   /// Variant runtime parameters (scale, soft cap, window, ...).
   VariantParams& MutableVariantParams() noexcept { return variant_params_; }
 
   const KernelConfig& config() const noexcept { return cfg_; }
-  const gpusim::DeviceSpec& device() const noexcept { return sim_.device(); }
+  const gpusim::DeviceSpec& device() const noexcept { return dev_; }
   int NumCtas() const noexcept { return num_ctas_; }
 
-  /// Cross-CTA L2 reuse fraction for KV traffic (bench knob; see
-  /// CostContext::kv_l2_fraction).
+  /// Cross-CTA L2 reuse fraction for KV traffic (bench knob; composed with
+  /// the plan's intra-batch reuse into PricePlan's `kv_l2_fraction`).
   void SetKvL2Fraction(double f) noexcept { kv_l2_fraction_ = f; }
 
   /// Inspector: runs the scheduler on this step's sequence-length
@@ -74,7 +76,7 @@ class BatchAttentionHandle {
             std::vector<int64_t> kv_len);
 
   /// Executor: runs the persistent attention kernel over the cached plan,
-  /// then the contraction kernel. Returns the combined simulated report.
+  /// then the contraction kernel. Returns PricePlan's report for the plan.
   gpusim::SimReport Run(const RaggedTensor& q, const PagedKVCache& kv, RaggedTensor* o,
                         std::vector<float>* lse = nullptr);
 
@@ -93,12 +95,13 @@ class BatchAttentionHandle {
   double last_plan_cpu_us() const noexcept { return last_plan_cpu_us_; }
 
  private:
-  gpusim::SimExecutor sim_;
+  gpusim::DeviceSpec dev_;
   TaskInfo info_;
   Workspace* workspace_;
   KernelConfig cfg_;
   WorkItemFn kernel_;
   bool use_softmax_ = true;
+  bool has_qk_transform_ = false;
   VariantParams variant_params_;
   int num_ctas_ = 1;
   double kv_l2_fraction_ = 0.0;

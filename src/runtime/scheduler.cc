@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <queue>
 
+#include "core/tile_heuristics.h"
+#include "gpusim/executor.h"
 #include "util/check.h"
 
 namespace flashinfer {
@@ -271,6 +273,90 @@ Plan MakeFixedSplitPlan(const AttentionParams& p, std::span<const WorkUnit> unit
       num_ctas, chunks.size(), [&](size_t k) { return static_cast<int>(k % num_ctas); },
       [&](size_t k) { return chunks[k]; }, &plan);
   return plan;
+}
+
+gpusim::WorkCost AttentionWorkItemCost(int rows, int64_t kv_tokens, int head_dim, int kv_bytes,
+                                       bool has_qk_transform, bool partial_output) {
+  gpusim::WorkCost wc;
+  const double d = head_dim;
+  // Q tile load (fp16 storage width) + K/V chunk load at KV width. The KV
+  // bytes are charged once per work item regardless of `rows`: all rows of
+  // the tile reuse the staged tile through shared memory — the core reuse
+  // effect behind composable formats and head-group fusion.
+  wc.hbm_bytes = rows * d * 2.0 + static_cast<double>(kv_tokens) * 2.0 * d * kv_bytes;
+  // Output: partial states spill fp32 O + LSE to the workspace; writethrough
+  // emits the final fp16 row.
+  wc.hbm_bytes += partial_output ? rows * (d + 1.0) * 4.0 : rows * d * 2.0;
+  // QK^T and PV matmuls.
+  wc.tensor_flops = 4.0 * rows * static_cast<double>(kv_tokens) * d;
+  // Online softmax: exp + max/sum updates per logit.
+  wc.cuda_flops = 6.0 * rows * static_cast<double>(kv_tokens);
+  if (has_qk_transform) {
+    // Fused RoPE-style transforms: ~10 flops per element of Q tile and K chunk.
+    wc.cuda_flops += 10.0 * d * (rows + static_cast<double>(kv_tokens));
+  }
+  return wc;
+}
+
+gpusim::SimReport PricePlan(const gpusim::DeviceSpec& dev, const AttentionParams& p,
+                            const KernelConfig& cfg, const Plan& plan, DType kv_dtype,
+                            bool has_qk_transform, double kv_l2_fraction) {
+  const int kvb = DTypeBytes(kv_dtype);
+  auto eff = EfficiencyModel(dev, cfg, p.head_dim, kvb);
+  const auto occ = OccupancyModel(dev, cfg, p.head_dim, kvb);
+  const auto shape = ResidencyModel(dev, occ, plan.NumCtas());
+  eff.mem *= shape.mem_scale;
+
+  gpusim::SimReport report;
+  report.num_ctas = plan.NumCtas();
+  report.cta_time_us.reserve(static_cast<size_t>(plan.NumCtas()));
+  for (int cta = 0; cta < plan.NumCtas(); ++cta) {
+    gpusim::CtaCost cost;
+    for (const auto& item : plan.Queue(cta)) {
+      const int rows = p.bsr->RowsInBlock(item.block_row);
+      const int64_t kv_tokens = item.kv_end - item.kv_begin;
+      auto wc = AttentionWorkItemCost(rows, kv_tokens, p.head_dim, kvb, has_qk_transform,
+                                      item.dest >= 0);
+      if (kv_l2_fraction > 0.0) {
+        const double kv_bytes = static_cast<double>(kv_tokens) * 2.0 * p.head_dim * kvb;
+        const double to_l2 = kv_bytes * kv_l2_fraction;
+        wc.hbm_bytes -= to_l2;
+        wc.l2_bytes += to_l2;
+      }
+      cost.Charge(dev, eff, wc, kvb, shape.slots);
+    }
+    report.cta_time_us.push_back(cost.time_us);
+    report.total_hbm_bytes += cost.total.hbm_bytes;
+    report.total_l2_bytes += cost.total.l2_bytes;
+    report.total_tensor_flops += cost.total.tensor_flops;
+    report.total_cuda_flops += cost.total.cuda_flops;
+  }
+  report.time_us =
+      gpusim::SimExecutor::Makespan(report.cta_time_us, shape.slots) + dev.kernel_launch_us;
+
+  if (!plan.rmap.Empty()) {
+    // Contraction kernel: merge tasks strided over min(tasks, #SM) CTAs. Each
+    // merge row shares device rates over #SM slots, like an attention
+    // launch's #SM x resident, whatever the grid size.
+    const int num_tasks = static_cast<int>(plan.rmap.tasks.size());
+    const int ctas = std::min(num_tasks, dev.num_sms);
+    std::vector<double> merge_times(static_cast<size_t>(ctas), 0.0);
+    for (int t = 0; t < num_tasks; ++t) {
+      const auto& task = plan.rmap.tasks[static_cast<size_t>(t)];
+      gpusim::WorkCost wc;
+      // Read `count` partial rows (fp32 O + LSE), write one fp16 row.
+      wc.hbm_bytes = static_cast<double>(task.count) * (p.head_dim + 1) * 4.0 +
+                     static_cast<double>(p.head_dim) * 2.0;
+      wc.cuda_flops = static_cast<double>(task.count) * (2.0 * p.head_dim + 8.0);
+      merge_times[static_cast<size_t>(t % ctas)] += gpusim::WorkItemTimeUs(
+          dev, eff, wc, kvb, dev.num_sms, gpusim::kMergeRowOverheadUs);
+      report.total_hbm_bytes += wc.hbm_bytes;
+      report.total_cuda_flops += wc.cuda_flops;
+    }
+    report.time_us += gpusim::SimExecutor::Makespan(merge_times, dev.num_sms) +
+                      dev.kernel_launch_us;
+  }
+  return report;
 }
 
 }  // namespace flashinfer

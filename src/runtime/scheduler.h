@@ -14,6 +14,10 @@
 //   MakeNaivePlan      — one CTA per (tile, head), no splitting (the
 //                        FlashAttention batch kernel's strategy).
 //   MakeFixedSplitPlan — FlashDecoding-style fixed split count per tile.
+//
+// The plan fixes every CTA's work, so a launch's simulated cost is a function
+// of the plan alone: PricePlan is the one pricer, called by the executing
+// handle after its math runs and by the serving cost model without any math.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +26,7 @@
 
 #include "core/contraction.h"
 #include "core/params.h"
+#include "gpusim/cost.h"
 
 namespace flashinfer {
 
@@ -92,8 +97,23 @@ Plan MakeFixedSplitPlan(const AttentionParams& p, std::span<const WorkUnit> unit
 /// intra-batch reuse: every query tile of a request re-reads the request's
 /// KV, but only the first read per (request, head) misses to HBM. Decode
 /// (one tile per request) returns 0; long prefill approaches
-/// 1 - 1/num_tiles. Fed into CostContext::kv_l2_fraction. `units` is
+/// 1 - 1/num_tiles. Fed into PricePlan's `kv_l2_fraction`. `units` is
 /// EnumerateWorkUnits(p).
 double IntraBatchKvReuseFraction(const AttentionParams& p, std::span<const WorkUnit> units);
+
+/// Byte/flop charges for one attention work item: a tile of `rows` fused
+/// query rows against `kv_tokens` KV tokens.
+gpusim::WorkCost AttentionWorkItemCost(int rows, int64_t kv_tokens, int head_dim, int kv_bytes,
+                                       bool has_qk_transform, bool partial_output);
+
+/// Prices the launch of `plan` on `dev` without executing it: every CTA
+/// queue is charged the per-item roofline cost and list-scheduled onto the
+/// launch's slots, then the contraction kernel's merge rows (when the plan
+/// splits KV) are charged over a persistent grid of min(tasks, #SM) CTAs.
+/// `has_qk_transform` is the kernel variant's flag (in-kernel RoPE-style
+/// transforms); `kv_l2_fraction` of the KV traffic is served from L2.
+gpusim::SimReport PricePlan(const gpusim::DeviceSpec& dev, const AttentionParams& p,
+                            const KernelConfig& cfg, const Plan& plan, DType kv_dtype,
+                            bool has_qk_transform, double kv_l2_fraction = 0.0);
 
 }  // namespace flashinfer

@@ -74,66 +74,6 @@ std::vector<sparse::RequestKv> FakePages(const std::vector<int64_t>& kv_lens, in
   return kv;
 }
 
-/// Prices a plan without executing any math: walks every CTA queue, charges
-/// the per-item roofline cost, and list-schedules the CTA times.
-gpusim::SimReport PricePlan(const gpusim::DeviceSpec& dev, const AttentionParams& p,
-                            const KernelConfig& cfg, const Plan& plan, DType kv_dtype,
-                            double kv_l2_fraction = 0.0) {
-  const int kvb = DTypeBytes(kv_dtype);
-  auto eff = EfficiencyModel(dev, cfg, p.head_dim, kvb);
-  const auto occ = OccupancyModel(dev, cfg, p.head_dim, kvb);
-  const auto shape = ResidencyModel(dev, occ, plan.NumCtas());
-  eff.mem *= shape.mem_scale;
-
-  gpusim::SimReport report;
-  report.num_ctas = plan.NumCtas();
-  report.cta_time_us.reserve(static_cast<size_t>(plan.NumCtas()));
-  for (int cta = 0; cta < plan.NumCtas(); ++cta) {
-    gpusim::CtaCost cost;
-    for (const auto& item : plan.Queue(cta)) {
-      const int rows = p.bsr->RowsInBlock(item.block_row);
-      const int64_t kv_tokens = item.kv_end - item.kv_begin;
-      auto wc =
-          AttentionWorkItemCost(rows, kv_tokens, p.head_dim, kvb, false, item.dest >= 0);
-      if (kv_l2_fraction > 0.0) {
-        const double kv_bytes = static_cast<double>(kv_tokens) * 2.0 * p.head_dim * kvb;
-        const double to_l2 = kv_bytes * kv_l2_fraction;
-        wc.hbm_bytes -= to_l2;
-        wc.l2_bytes += to_l2;
-      }
-      cost.Charge(dev, eff, wc, kvb, shape.slots);
-    }
-    report.cta_time_us.push_back(cost.time_us);
-    report.total_hbm_bytes += cost.total.hbm_bytes;
-    report.total_l2_bytes += cost.total.l2_bytes;
-    report.total_tensor_flops += cost.total.tensor_flops;
-    report.total_cuda_flops += cost.total.cuda_flops;
-  }
-  report.time_us =
-      gpusim::SimExecutor::Makespan(report.cta_time_us, shape.slots) + dev.kernel_launch_us;
-
-  if (!plan.rmap.Empty()) {
-    // Contraction kernel: merge tasks strided over SMs.
-    const int num_tasks = static_cast<int>(plan.rmap.tasks.size());
-    const int ctas = std::min(num_tasks, dev.num_sms);
-    std::vector<double> merge_times(static_cast<size_t>(ctas), 0.0);
-    for (int t = 0; t < num_tasks; ++t) {
-      const auto& task = plan.rmap.tasks[static_cast<size_t>(t)];
-      gpusim::WorkCost wc;
-      wc.hbm_bytes = static_cast<double>(task.count) * (p.head_dim + 1) * 4.0 +
-                     static_cast<double>(p.head_dim) * 2.0;
-      wc.cuda_flops = static_cast<double>(task.count) * (2.0 * p.head_dim + 8.0);
-      merge_times[static_cast<size_t>(t % ctas)] += gpusim::WorkItemTimeUs(
-          dev, eff, wc, kvb, dev.num_sms, gpusim::kMergeRowOverheadUs);
-      report.total_hbm_bytes += wc.hbm_bytes;
-      report.total_cuda_flops += wc.cuda_flops;
-    }
-    report.time_us += gpusim::SimExecutor::Makespan(merge_times, dev.num_sms) +
-                      dev.kernel_launch_us;
-  }
-  return report;
-}
-
 /// Schedules `p` with the backend's policy and prices the plan, composing
 /// the caller's cross-request L2 reuse fraction with intra-batch tile reuse.
 gpusim::SimReport PlanAndPrice(const gpusim::DeviceSpec& dev, const BackendConfig& backend,
@@ -155,7 +95,10 @@ gpusim::SimReport PlanAndPrice(const gpusim::DeviceSpec& dev, const BackendConfi
   }
   const double auto_l2 = IntraBatchKvReuseFraction(p, units);
   const double l2_fraction = 1.0 - (1.0 - extra_l2_fraction) * (1.0 - auto_l2);
-  auto report = PricePlan(dev, p, cfg, plan, backend.kv_dtype, l2_fraction);
+  // Priced as the vanilla kernel; an unfused RoPE pass is the engine's to add
+  // (BackendConfig::fused_rope).
+  auto report = PricePlan(dev, p, cfg, plan, backend.kv_dtype, /*has_qk_transform=*/false,
+                          l2_fraction);
   report.time_us *= backend.kernel_time_scale;
   return report;
 }

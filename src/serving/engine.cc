@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 
 #include "spec/verify.h"
@@ -79,16 +77,14 @@ AttnSimInput ServingEngine::HeadGeometry() const {
   return in;
 }
 
-double ServingEngine::AttnLaunchUs(const AttnSimInput& in) const {
-  auto report = SimulateBatchAttention(cfg_.device, cfg_.backend, in);
+double ServingEngine::LayeredAttnUs(double launch_us, const AttnSimInput& in,
+                                    int64_t tokens) const {
   // Plan reuse across layers: one scheduler pass, num_layers launches.
   const int layers = cfg_.model.num_layers;
-  double t = report.time_us * layers;
+  double t = launch_us * layers;
   if (!cfg_.backend.fused_rope) {
     // Separate RoPE kernel over this step's Q and K rows (bandwidth-bound,
     // small-kernel efficiency).
-    int64_t tokens = 0;
-    for (int64_t q : in.qo_lens) tokens += q;
     const double bytes = 2.0 *  // Read + write.
                          static_cast<double>(tokens) *
                          (in.num_qo_heads + in.num_kv_heads) * in.head_dim * 2.0;
@@ -98,23 +94,19 @@ double ServingEngine::AttnLaunchUs(const AttnSimInput& in) const {
   return t;
 }
 
+double ServingEngine::AttnLaunchUs(const AttnSimInput& in) const {
+  int64_t tokens = 0;
+  for (int64_t q : in.qo_lens) tokens += q;
+  return LayeredAttnUs(SimulateBatchAttention(cfg_.device, cfg_.backend, in).time_us, in,
+                       tokens);
+}
+
 double ServingEngine::SpecVerifyAttnUs() const {
-  AttnSimInput in = HeadGeometry();
   std::vector<int64_t> context_lens;
   context_lens.reserve(running_.size());
   for (const auto& b : running_) context_lens.push_back(b.kv_len);
-  auto report = verify_pricer_->Price(context_lens);
-  // Plan reuse across layers, exactly like AttnLaunchUs.
-  const int layers = cfg_.model.num_layers;
-  double t = report.time_us * layers;
-  if (!cfg_.backend.fused_rope) {
-    const int64_t tokens = static_cast<int64_t>(running_.size()) * tree_->Size();
-    const double bytes = 2.0 * static_cast<double>(tokens) *
-                         (in.num_qo_heads + in.num_kv_heads) * in.head_dim * 2.0;
-    t += layers * (bytes / (cfg_.device.hbm_gbps * 0.45 * 1e3) +
-                   cfg_.device.kernel_launch_us);
-  }
-  return t;
+  return LayeredAttnUs(verify_pricer_->Price(context_lens).time_us, HeadGeometry(),
+                       static_cast<int64_t>(running_.size()) * tree_->Size());
 }
 
 void ServingEngine::TraceSpan(obs::TraceName n, double begin_s, double end_s,
@@ -374,10 +366,7 @@ int64_t ServingEngine::RunningTokens() const noexcept {
   return total;
 }
 
-void ServingEngine::FinishBranch(const Branch& b) {
-  TraceSpan(obs::TraceName::kReqDecode, b.seg_start_s, now_s_, b.request_id,
-            b.kv_len);
-  TraceInstant(obs::TraceName::kReqFinish, b.request_id);
+void ServingEngine::ReleaseBranchKv(const Branch& b) {
   if (b.group < 0) {
     // Release the branch's pages plus its admission slack (charged as
     // parallel_n * slack_tokens_ at admission; leaking it would shrink
@@ -395,6 +384,13 @@ void ServingEngine::FinishBranch(const Branch& b) {
     }
   }
   if (b.spec_seq >= 0) spec_kv_->DropSequence(b.spec_seq);
+}
+
+void ServingEngine::FinishBranch(const Branch& b) {
+  TraceSpan(obs::TraceName::kReqDecode, b.seg_start_s, now_s_, b.request_id,
+            b.kv_len);
+  TraceInstant(obs::TraceName::kReqFinish, b.request_id);
+  ReleaseBranchKv(b);
   metrics_.branch_stalls.push_back(b.stall_steps);
 }
 
@@ -476,18 +472,8 @@ MigrationUnit ServingEngine::ExtractMigratable(int64_t unit_id) {
   FI_CHECK(it != exportable_.end());
   MigrationUnit m = BuildUnitView(*it);
   for (const Branch& b : it->branches) {
-    if (b.group < 0) {
-      kv_tokens_in_use_ -= b.kv_len + slack_tokens_;
-    } else {
-      kv_tokens_in_use_ -= b.kv_len - b.prefix_len + slack_tokens_;
-      auto& [refs, prefix] = group_refs_[b.group];
-      if (--refs == 0) {
-        kv_tokens_in_use_ -= prefix;
-        group_refs_.erase(b.group);
-      }
-    }
+    ReleaseBranchKv(b);
     if (FullKvReserve()) kv_tokens_in_use_ -= b.remaining;
-    if (b.spec_seq >= 0) spec_kv_->DropSequence(b.spec_seq);
   }
   ++metrics_.num_migrations_out;
   metrics_.migrated_kv_tokens += m.kv_tokens;
@@ -514,7 +500,7 @@ void ServingEngine::RetainMigratable(int64_t unit_id) {
   // Fallback: the branches re-enter the local decode loop. Their KV charge
   // and structural sequences never left, and seg_start_s still points at the
   // first token, so the decode span absorbs the parked time.
-  for (const Branch& b : it->branches) ResumeBranch(b);
+  running_.insert(running_.end(), it->branches.begin(), it->branches.end());
   ++metrics_.num_migrations_retained;
   if (telemetry_) telemetry_->GetCounter("fi_migrations_retained_total")->Inc(now_s_);
   exportable_.erase(it);
@@ -956,10 +942,6 @@ void ServingEngine::PreemptBranch(size_t running_idx) {
   preempted_.insert(it, std::move(p));
 }
 
-void ServingEngine::ResumeBranch(const Branch& b) {
-  running_.push_back(b);
-}
-
 ServingEngine::StepPlan ServingEngine::FormStepPlan() const {
   StepPlan plan;
   if (cfg_.prefill_chunk_tokens == 0) {
@@ -1204,13 +1186,6 @@ void ServingEngine::ExecuteStepPlan(const StepPlan& plan) {
     }
   }
 
-  if (std::getenv("FI_DEBUG_ATTN") != nullptr) {
-    std::fprintf(stderr,
-                 "[attn] step decode=%zu chunks=%zu prefill_tokens=%lld t=%.2fus\n",
-                 decode_branches, plan.chunks.size(),
-                 static_cast<long long>(plan.prefill_tokens), attn_us);
-  }
-
   metrics_.total_draft_ms += draft_us * 1e-3;
   metrics_.total_gemm_ms += gemm_us * 1e-3;
   metrics_.total_attention_ms += attn_us * 1e-3;
@@ -1338,7 +1313,7 @@ void ServingEngine::ExecuteStepPlan(const StepPlan& plan) {
         }
         b.seg_start_s = now_s_;
         unit_kv += b.kv_len;
-        ResumeBranch(b);
+        running_.push_back(b);
       }
       if (prefix_seq >= 0) spec_kv_->DropSequence(prefix_seq);
       TraceSpan(obs::TraceName::kReqMigrateIn, p.phase_start_s, now_s_,
@@ -1372,7 +1347,7 @@ void ServingEngine::ExecuteStepPlan(const StepPlan& plan) {
                                : obs::TraceName::kReqRecompute,
                 p.phase_start_s, now_s_, b.request_id, b.kv_len);
       b.seg_start_s = now_s_;  // The restored decode segment starts here.
-      ResumeBranch(b);
+      running_.push_back(b);
     } else {
       if (p.chunks_used > 1) ++metrics_.chunked_requests;
       TraceSpan(obs::TraceName::kReqPrefill, p.phase_start_s, now_s_, p.req.id,

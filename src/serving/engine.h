@@ -500,9 +500,6 @@ class ServingEngine {
   /// restore policy's cost estimate.
   void PreemptBranch(size_t running_idx);
 
-  /// Re-materializes a restored branch into running_.
-  void ResumeBranch(const Branch& b);
-
   /// PCIe transfer time for `tokens` of KV scaled to `stored_ratio` of its
   /// logical bytes (the codec tier moves encoded bytes), microseconds.
   double SwapXferUs(int64_t tokens, double stored_ratio) const;
@@ -584,6 +581,9 @@ class ServingEngine {
   void SpecCommitKv(Branch& b, int accepted, int64_t commit);
   /// Releases a finished branch's KV charge (and its spec sequence).
   void FinishBranch(const Branch& b);
+  /// Releases a branch's device KV charge — unique suffix + admission slack,
+  /// plus the group prefix with the last sibling — and its spec sequence.
+  void ReleaseBranchKv(const Branch& b);
 
   /// Roofline GEMM time for one forward pass of `m` over `tokens` rows
   /// (weight-streaming floor vs compute); used for target, prefill, verify,
@@ -594,6 +594,9 @@ class ServingEngine {
   /// reused across layers, plus the unfused-RoPE pass when configured.
   double AttnLaunchUs(const AttnSimInput& in) const;
   double SpecVerifyAttnUs() const;
+  /// One launch's `launch_us` over every layer, plus the unfused-RoPE pass
+  /// over `tokens` query rows of `in`'s head geometry when configured.
+  double LayeredAttnUs(double launch_us, const AttnSimInput& in, int64_t tokens) const;
   AttnSimInput HeadGeometry() const;
 
   EngineConfig cfg_;

@@ -14,6 +14,17 @@ EngineConfig BaseConfig() {
   return cfg;
 }
 
+/// A request with no prompt ids, no cached prefix and default priority.
+Request MakeReq(int id, double arrival, int64_t in, int64_t out, int parallel_n = 1) {
+  Request r;
+  r.id = id;
+  r.arrival_s = arrival;
+  r.input_len = in;
+  r.output_len = out;
+  r.parallel_n = parallel_n;
+  return r;
+}
+
 TEST(Engine, OversizedPromptStillAdmits) {
   // Regression: a prompt longer than max_prefill_tokens must admit alone
   // rather than starving forever (previously an infinite loop).
@@ -59,8 +70,8 @@ TEST(Engine, EmptyWorkload) {
 TEST(Engine, IdleGapsSkipToNextArrival) {
   ServingEngine engine(BaseConfig());
   std::vector<Request> reqs(2);
-  reqs[0] = {0, 0.0, 64, 2, 1};
-  reqs[1] = {1, 100.0, 64, 2, 1};  // Arrives after a long idle gap.
+  reqs[0] = MakeReq(0, 0.0, 64, 2);
+  reqs[1] = MakeReq(1, 100.0, 64, 2);  // Arrives after a long idle gap.
   const auto m = engine.Run(reqs);
   // Request 1's TTFT is measured from ITS arrival, not from t=0.
   EXPECT_LT(m.ttft_ms[1], 1000.0);
@@ -70,7 +81,7 @@ TEST(Engine, IdleGapsSkipToNextArrival) {
 TEST(Engine, OutputTokenAccounting) {
   ServingEngine engine(BaseConfig());
   std::vector<Request> reqs(4);
-  for (int i = 0; i < 4; ++i) reqs[i] = {i, 0.01 * i, 32, 10, 1};
+  for (int i = 0; i < 4; ++i) reqs[i] = MakeReq(i, 0.01 * i, 32, 10);
   const auto m = engine.Run(reqs);
   EXPECT_EQ(m.total_output_tokens, 4 * 10);
   // ITL gaps: 9 per request (first token comes from prefill).
@@ -80,8 +91,8 @@ TEST(Engine, OutputTokenAccounting) {
 TEST(Engine, ParallelBranchesMultiplyOutputs) {
   ServingEngine engine(BaseConfig());
   std::vector<Request> reqs(2);
-  reqs[0] = {0, 0.0, 64, 6, 4};
-  reqs[1] = {1, 0.0, 64, 6, 1};
+  reqs[0] = MakeReq(0, 0.0, 64, 6, 4);
+  reqs[1] = MakeReq(1, 0.0, 64, 6);
   const auto m = engine.Run(reqs);
   // Request 0: 1 prefill token + 4 branches x 5; request 1: 1 + 5.
   EXPECT_EQ(m.total_output_tokens, (1 + 4 * 5) + (1 + 5));
@@ -93,7 +104,7 @@ TEST(Engine, KvBudgetThrottlesAdmission) {
   ServingEngine engine(cfg);
   EXPECT_LT(engine.KvTokenBudget(), 30000);
   std::vector<Request> reqs(8);
-  for (int i = 0; i < 8; ++i) reqs[i] = {i, 0.0, 2048, 4, 1};
+  for (int i = 0; i < 8; ++i) reqs[i] = MakeReq(i, 0.0, 2048, 4);
   const auto m = engine.Run(reqs);  // Must complete despite the tight pool.
   EXPECT_EQ(m.ttft_ms.size(), 8u);
   EXPECT_EQ(m.total_output_tokens, 8 * 4);
@@ -196,8 +207,8 @@ TEST(ChunkedPrefill, MixedBatchingRemovesDecodeStalls) {
   // stalls every branch behind the prefill; mixed batching does not, and
   // both deliver the same tokens.
   std::vector<Request> reqs(2);
-  reqs[0] = {0, 0.0, 64, 64, 1};
-  reqs[1] = {1, 0.05, 6000, 8, 1};  // Long prompt lands mid-decode.
+  reqs[0] = MakeReq(0, 0.0, 64, 64);
+  reqs[1] = MakeReq(1, 0.05, 6000, 8);  // Long prompt lands mid-decode.
 
   auto legacy_cfg = BaseConfig();
   legacy_cfg.prefill_chunk_tokens = 0;
@@ -263,8 +274,8 @@ TEST(ChunkedPrefill, ThroughputPolicyPacksMoreThanDecodePriority) {
   // chunk's worth per step; throughput-priority packs both requests' chunks
   // and finishes the prefill backlog in fewer steps.
   std::vector<Request> reqs(2);
-  reqs[0] = {0, 0.0, 4096, 4, 1};
-  reqs[1] = {1, 0.0, 4096, 4, 1};
+  reqs[0] = MakeReq(0, 0.0, 4096, 4);
+  reqs[1] = MakeReq(1, 0.0, 4096, 4);
 
   auto cfg = BaseConfig();
   cfg.prefill_chunk_tokens = 1024;

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
-
 #include "gpusim/cost.h"
 #include "gpusim/device.h"
 #include "gpusim/executor.h"
@@ -70,42 +68,57 @@ TEST(Makespan, WaveQuantization) {
   EXPECT_DOUBLE_EQ(SimExecutor::Makespan(std::vector<double>(5, 3.0), 4), 6.0);
 }
 
-TEST(Executor, RunsEveryCtaOnce) {
-  SimExecutor sim(A100Sxm40GB());
-  std::vector<std::atomic<int>> hits(64);
-  const auto report = sim.Launch(64, Occupancy{2}, [&](int cta, CtaCost& cost) {
-    hits[static_cast<size_t>(cta)]++;
+/// Folds per-CTA costs into a launch report the way PricePlan does: totals
+/// summed in grid order, makespan over `slots`, plus the launch latency.
+SimReport Fold(const DeviceSpec& dev, const std::vector<CtaCost>& ctas, int slots) {
+  SimReport report;
+  report.num_ctas = static_cast<int>(ctas.size());
+  for (const auto& c : ctas) {
+    report.cta_time_us.push_back(c.time_us);
+    report.total_hbm_bytes += c.total.hbm_bytes;
+    report.total_tensor_flops += c.total.tensor_flops;
+  }
+  report.time_us = SimExecutor::Makespan(report.cta_time_us, slots) + dev.kernel_launch_us;
+  return report;
+}
+
+TEST(Executor, ChargesEveryCtaOnce) {
+  const auto dev = A100Sxm40GB();
+  std::vector<CtaCost> ctas(64);
+  for (auto& cost : ctas) {
     WorkCost wc;
     wc.hbm_bytes = 1000.0;
-    cost.Charge(sim.device(), KernelEfficiency{}, wc);
-  });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+    cost.Charge(dev, KernelEfficiency{}, wc);
+  }
+  const auto report = Fold(dev, ctas, dev.num_sms * 2);
   EXPECT_EQ(report.num_ctas, 64);
   EXPECT_DOUBLE_EQ(report.total_hbm_bytes, 64 * 1000.0);
   EXPECT_GT(report.time_us, 0.0);
 }
 
 TEST(Executor, MakespanDominatedByStraggler) {
-  SimExecutor sim(A100Sxm40GB());
-  const auto report = sim.Launch(8, Occupancy{1}, [&](int cta, CtaCost& cost) {
+  const auto dev = A100Sxm40GB();
+  std::vector<CtaCost> ctas(8);
+  for (int cta = 0; cta < 8; ++cta) {
     WorkCost wc;
     wc.hbm_bytes = (cta == 3) ? 1e9 : 1e3;  // One straggler CTA.
-    cost.Charge(sim.device(), KernelEfficiency{1.0, 1.0, 1.0}, wc);
-  });
+    ctas[static_cast<size_t>(cta)].Charge(dev, KernelEfficiency{1.0, 1.0, 1.0}, wc);
+  }
+  const auto report = Fold(dev, ctas, dev.num_sms);
   // 1e9 bytes / 1555 GB/s = ~643 us dominates.
-  EXPECT_NEAR(report.time_us, 1e9 / (1555.0 * 1e3) + sim.device().work_item_overhead_us +
-                                  sim.device().kernel_launch_us,
-              1.0);
+  EXPECT_NEAR(report.time_us,
+              1e9 / (1555.0 * 1e3) + dev.work_item_overhead_us + dev.kernel_launch_us, 1.0);
 }
 
 TEST(Executor, UtilizationMetrics) {
   const auto dev = H100Sxm80GB();
-  SimExecutor sim(dev);
-  const auto report = sim.Launch(dev.num_sms, Occupancy{1}, [&](int, CtaCost& cost) {
+  std::vector<CtaCost> ctas(static_cast<size_t>(dev.num_sms));
+  for (auto& cost : ctas) {
     WorkCost wc;
     wc.hbm_bytes = 3350.0 * 1e3;  // 132 us of device traffic split over SMs.
     cost.Charge(dev, KernelEfficiency{1.0, 1.0, 1.0}, wc, 2, dev.num_sms);
-  });
+  }
+  const auto report = Fold(dev, ctas, dev.num_sms);
   // All SMs stream concurrently, sharing device bandwidth: utilization near
   // 1, diluted only by launch + per-item overhead. Never above 1.
   const double util = report.BandwidthUtil(dev);
@@ -117,13 +130,14 @@ TEST(Executor, ImbalanceWastesBandwidth) {
   // One CTA with all the work: the device idles while it streams at a
   // 1/slots share, so achieved bandwidth collapses.
   const auto dev = H100Sxm80GB();
-  SimExecutor sim(dev);
-  const auto report = sim.Launch(dev.num_sms, Occupancy{1}, [&](int cta, CtaCost& cost) {
+  std::vector<CtaCost> ctas(static_cast<size_t>(dev.num_sms));
+  for (int cta = 0; cta < dev.num_sms; ++cta) {
     WorkCost wc;
     wc.hbm_bytes = (cta == 0) ? 3350.0 * 1e3 * 132 : 0.0;
-    cost.Charge(dev, KernelEfficiency{1.0, 1.0, 1.0}, wc, 2, dev.num_sms);
-  });
-  EXPECT_LT(report.BandwidthUtil(dev), 0.05);
+    ctas[static_cast<size_t>(cta)].Charge(dev, KernelEfficiency{1.0, 1.0, 1.0}, wc, 2,
+                                          dev.num_sms);
+  }
+  EXPECT_LT(Fold(dev, ctas, dev.num_sms).BandwidthUtil(dev), 0.05);
 }
 
 TEST(Graph, CaptureAndReplay) {

@@ -1,4 +1,7 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <filesystem>
 
 #include "jit/codegen.h"
 #include "jit/compiler.h"
@@ -26,18 +29,23 @@ AttentionSpecDesc SigmoidSpec() {
   return spec;
 }
 
-TEST(SpecHash, StableAndSensitive) {
+TEST(Codegen, SourceStableAndSensitive) {
+  // The generated source keys the JIT caches: equal specs must render equal
+  // sources, and every spec change must show in the source.
   const auto a = SigmoidSpec();
   auto b = a;
-  EXPECT_EQ(SpecHash(a), SpecHash(b));
+  EXPECT_EQ(GenerateSource(a), GenerateSource(b));
   b.logits_transform_body += " // changed";
-  EXPECT_NE(SpecHash(a), SpecHash(b));
+  EXPECT_NE(GenerateSource(a), GenerateSource(b));
   b = a;
   b.kv_dtype = DType::kF16;
-  EXPECT_NE(SpecHash(a), SpecHash(b));
+  EXPECT_NE(GenerateSource(a), GenerateSource(b));
   b = a;
   b.extra_params.push_back({"gamma", 2.0f});
-  EXPECT_NE(SpecHash(a), SpecHash(b));
+  EXPECT_NE(GenerateSource(a), GenerateSource(b));
+  b = a;
+  b.has_qk_transform = true;
+  EXPECT_NE(GenerateSource(a), GenerateSource(b));
 }
 
 TEST(Codegen, EmitsExpectedStructure) {
@@ -175,6 +183,32 @@ TEST_F(JitCompileTest, CacheHitsInMemoryAndOnDisk) {
   const auto stats = GetJitCacheStats();
   EXPECT_GE(stats.memory_hits, 1);
   EXPECT_LE(stats.compilations, 1);  // 0 if a previous run left the .so.
+}
+
+TEST_F(JitCompileTest, CacheKeyCoversCompilerFlags) {
+  // One spec under two flag sets compiles twice, into distinct objects, in a
+  // private (cold) cache directory.
+  const std::string dir = ::testing::TempDir() + "fi_jit_flags_" + std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  AttentionSpecDesc spec;
+  spec.name = "FlagProbe";
+  spec.kv_dtype = DType::kF32;
+  spec.has_qk_transform = true;
+  JitOptions o0;
+  o0.cache_dir = dir;
+  o0.extra_flags = "-O0";
+  JitOptions o1 = o0;
+  o1.extra_flags = "-O1";
+  ResetJitCacheStats();
+  const auto k0 = CompileVariant(spec, o0);
+  const auto k1 = CompileVariant(spec, o1);
+  EXPECT_EQ(GetJitCacheStats().compilations, 2);
+  EXPECT_NE(k0->so_path(), k1->so_path());
+  EXPECT_EQ(CompileVariant(spec, o1).get(), k1.get());  // Registry hit under the same flags.
+  // The variant flags travel through the loaded object.
+  EXPECT_TRUE(k0->has_qk_transform());
+  EXPECT_TRUE(k0->use_softmax());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Interpreted, DefaultHooksMatchVanilla) {

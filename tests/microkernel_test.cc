@@ -2,7 +2,6 @@
 
 #include "core/contraction.h"
 #include "core/microkernel.h"
-#include "core/tile_heuristics.h"
 #include "test_util.h"
 
 namespace flashinfer {
@@ -122,7 +121,7 @@ void RunSplitAndContract(AttentionParams& p, const KernelConfig& cfg, WorkItemFn
     for (int64_t lo = 0; lo < u.kv_len; lo += step) {
       const int64_t hi = std::min(u.kv_len, lo + step);
       WorkItem item{u.block_row, u.request, u.kv_head, u.qo_head, lo, hi, next};
-      fn(p, cfg, item, sink, nullptr, nullptr);
+      fn(p, cfg, item, sink);
       bases.push_back(next);
       next += u.rows;
     }
@@ -143,7 +142,7 @@ void RunSplitAndContract(AttentionParams& p, const KernelConfig& cfg, WorkItemFn
       rmap.tasks.push_back(task);
     }
   }
-  RunContraction(p, rmap, sink, /*use_softmax=*/true, nullptr, nullptr);
+  RunContraction(p, rmap, sink, /*use_softmax=*/true);
 }
 
 TEST(SplitKv, PartialChunksMergeToWritethroughResult) {
@@ -328,8 +327,7 @@ TEST(KernelEdge, RowMaskedAcrossWholeItemEmitsZeroAndNegInfLse) {
   std::vector<float> partial_o(static_cast<size_t>(u.rows) * d, 42.0f);
   std::vector<float> partial_lse(static_cast<size_t>(u.rows), 42.0f);
   PartialSink sink{partial_o.data(), partial_lse.data()};
-  fn(p, cfg, WorkItem{u.block_row, u.request, u.kv_head, u.qo_head, 18, 20, 0}, sink, nullptr,
-     nullptr);
+  fn(p, cfg, WorkItem{u.block_row, u.request, u.kv_head, u.qo_head, 18, 20, 0}, sink);
   for (int i = 0; i < u.rows; ++i) {
     const float* o = partial_o.data() + static_cast<size_t>(i) * d;
     if (masked(i)) {
@@ -342,8 +340,7 @@ TEST(KernelEdge, RowMaskedAcrossWholeItemEmitsZeroAndNegInfLse) {
 
   // Writethrough output of the same item.
   std::fill(prob.o.data.begin(), prob.o.data.end(), 42.0f);
-  fn(p, cfg, WorkItem{u.block_row, u.request, u.kv_head, u.qo_head, 18, 20, -1}, PartialSink{},
-     nullptr, nullptr);
+  fn(p, cfg, WorkItem{u.block_row, u.request, u.kv_head, u.qo_head, 18, 20, -1}, PartialSink{});
   for (int i = 0; i < u.rows; ++i) {
     const int token = i / g;
     const int qo_head = u.kv_head * g + i % g;
@@ -372,66 +369,12 @@ TEST(Kernel, EmptyKvProducesZeros) {
   // Zero-width chunk: output must be written (zeros), not left stale.
   std::fill(prob.o.data.begin(), prob.o.data.end(), 42.0f);
   WorkItem item{0, 0, 0, -1, 0, 0, -1};
-  fn(p, cfg, item, sink, nullptr, nullptr);
+  fn(p, cfg, item, sink);
   for (float x : prob.o.Row(0)) {
     if (&x - prob.o.Row(0).data() < spec.head_dim) {
       EXPECT_EQ(x, 0.0f);
     }
   }
-}
-
-// ------------------------------------------------------------ cost charging
-TEST(Kernel, ChargesSimulatedCost) {
-  ProblemSpec spec;
-  spec.qo_lens = {4};
-  spec.kv_lens = {32};
-  spec.kv_dtype = DType::kF16;
-  auto prob = MakeProblem(spec);
-  auto p = prob.Params();
-  KernelConfig cfg;
-  cfg.tile_q = 16;
-  const auto dev = gpusim::A100Sxm40GB();
-  CostContext cc;
-  cc.dev = &dev;
-  cc.kv_bytes = 2;
-  cc.eff = EfficiencyModel(dev, cfg, spec.head_dim, 2);
-  gpusim::CtaCost cost;
-  auto fn = GetBuiltinKernel(VariantKind::kVanilla, DType::kF16);
-  const auto units = EnumerateWorkUnits(p);
-  PartialSink sink;
-  for (const auto& u : units) {
-    WorkItem item{u.block_row, u.request, u.kv_head, u.qo_head, 0, u.kv_len, -1};
-    fn(p, cfg, item, sink, &cost, &cc);
-  }
-  EXPECT_GT(cost.time_us, 0.0);
-  // KV bytes: 32 tokens x 2(K,V) x 16 dim x 2B per kv head x 2 units (2 kv heads).
-  const double expected_kv = 2.0 * 32 * 2 * 16 * 2;
-  EXPECT_GE(cost.total.hbm_bytes, expected_kv);
-  EXPECT_GT(cost.total.tensor_flops, 0.0);
-}
-
-TEST(Kernel, L2FractionRedirectsTraffic) {
-  ProblemSpec spec;
-  spec.qo_lens = {1};
-  spec.kv_lens = {64};
-  spec.kv_dtype = DType::kF16;
-  auto prob = MakeProblem(spec);
-  auto p = prob.Params();
-  KernelConfig cfg;
-  cfg.tile_q = 1;
-  const auto dev = gpusim::A100Sxm40GB();
-  CostContext cc;
-  cc.dev = &dev;
-  cc.kv_bytes = 2;
-  cc.eff = gpusim::KernelEfficiency{1.0, 1.0, 1.0};
-  cc.kv_l2_fraction = 0.5;
-  gpusim::CtaCost cost;
-  auto fn = GetBuiltinKernel(VariantKind::kVanilla, DType::kF16);
-  WorkItem item{0, 0, 0, -1, 0, 64, -1};
-  fn(p, cfg, item, PartialSink{}, &cost, &cc);
-  EXPECT_GT(cost.total.l2_bytes, 0.0);
-  const double kv_bytes = 64.0 * 2 * spec.head_dim * 2;
-  EXPECT_NEAR(cost.total.l2_bytes, kv_bytes * 0.5, 1.0);
 }
 
 }  // namespace

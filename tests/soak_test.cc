@@ -286,7 +286,9 @@ void RunEngineTrial(uint64_t seed, bool check_step_equiv) {
               codec.quant != KvQuantFormat::kNone ? 1.0 : 1.5);
     EXPECT_GT(m.evicted_stored_bytes, 0.0);
     EXPECT_GT(m.codec_encode_ms, 0.0);
-    if (codec.quant == KvQuantFormat::kNone) EXPECT_EQ(m.quant_mse_pages, 0);
+    if (codec.quant == KvQuantFormat::kNone) {
+      EXPECT_EQ(m.quant_mse_pages, 0);
+    }
   }
 
   // The telemetry registry must reconcile with ServingMetrics on every

@@ -28,6 +28,17 @@ EngineConfig BaseConfig() {
   return cfg;
 }
 
+/// A request with no prompt ids, no cached prefix and default priority.
+Request MakeReq(int id, double arrival, int64_t in, int64_t out, int parallel_n = 1) {
+  Request r;
+  r.id = id;
+  r.arrival_s = arrival;
+  r.input_len = in;
+  r.output_len = out;
+  r.parallel_n = parallel_n;
+  return r;
+}
+
 EngineConfig SpecConfig(int depth, int branching, double accept = 0.7) {
   EngineConfig cfg = BaseConfig();
   cfg.spec.enabled = true;
@@ -261,7 +272,7 @@ TEST(SpecEngine, TightKvBudgetThrottlesAdmissionInsteadOfExhaustingPool) {
   ServingEngine engine(cfg);
   EXPECT_LT(engine.KvTokenBudget(), 30000);
   std::vector<Request> reqs(60);
-  for (int i = 0; i < 60; ++i) reqs[i] = {i, 0.0, 1024, 256, 1};
+  for (int i = 0; i < 60; ++i) reqs[i] = MakeReq(i, 0.0, 1024, 256);
   const auto m = engine.Run(reqs);  // Must complete despite the tight pool.
   EXPECT_EQ(m.ttft_ms.size(), 60u);
   EXPECT_EQ(m.total_output_tokens, 60 * 256);
@@ -350,8 +361,8 @@ TEST(SpecEngine, StepToCountsOnlyWorkSteps) {
 TEST(SpecEngine, IdleTimeSeparatesFromBusyTime) {
   ServingEngine engine(BaseConfig());
   std::vector<Request> reqs(2);
-  reqs[0] = {0, 0.0, 64, 2, 1};
-  reqs[1] = {1, 100.0, 64, 2, 1};
+  reqs[0] = MakeReq(0, 0.0, 64, 2);
+  reqs[1] = MakeReq(1, 100.0, 64, 2);
   const auto m = engine.Run(reqs);
   EXPECT_EQ(m.num_idle_skips, 1);
   EXPECT_GT(m.total_idle_s, 99.0);

@@ -104,7 +104,7 @@ inline void RunSerial(AttentionParams& p, const KernelConfig& cfg, WorkItemFn fn
   PartialSink sink;
   for (const auto& u : units) {
     WorkItem item{u.block_row, u.request, u.kv_head, u.qo_head, 0, u.kv_len, -1};
-    fn(p, cfg, item, sink, nullptr, nullptr);
+    fn(p, cfg, item, sink);
   }
 }
 

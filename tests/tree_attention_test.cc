@@ -11,12 +11,12 @@
 namespace flashinfer {
 namespace {
 
-// Tree:      0
-//          /   \
-//         1     4
-//        / \     \
-//       2   3     5
-// Token i attends to its ancestors and itself.
+/* Tree:      0
+ *          /   \
+ *         1     4
+ *        / \     \
+ *       2   3     5
+ * Token i attends to its ancestors and itself. */
 const std::vector<std::vector<int>> kAncestors = {
     {0}, {0, 1}, {0, 1, 2}, {0, 1, 3}, {0, 4}, {0, 4, 5}};
 
