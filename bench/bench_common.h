@@ -67,7 +67,10 @@ class JsonResult {
     numbers_.emplace_back(key, value);
   }
   void Add(const std::string& key, const std::string& value) {
-    fields_.emplace_back(key, "\"" + util::JsonEscape(value) + "\"");
+    std::string quoted = "\"";
+    quoted += util::JsonEscape(value);
+    quoted += '"';
+    fields_.emplace_back(key, std::move(quoted));
   }
 
   /// Numeric lookup for the baseline checker. Returns false when `key` was

@@ -22,6 +22,16 @@ struct Shape {
 constexpr Shape kShapes[] = {{32, 1024}, {16, 2048}, {8, 4096},
                              {4, 8192},  {2, 16384}, {1, 32768}};
 
+/// "(batch, seqlen)" row label.
+std::string ShapeLabel(const Shape& s) {
+  std::string out = "(";
+  out += std::to_string(s.batch);
+  out += ", ";
+  out += std::to_string(s.len);
+  out += ")";
+  return out;
+}
+
 double PrefillTflops(const gpusim::DeviceSpec& dev, const Shape& s, int tmpl, bool dense) {
   AttnSimInput in;
   in.qo_lens.assign(static_cast<size_t>(s.batch), s.len);
@@ -73,8 +83,7 @@ int main() {
       const double sp = PrefillTflops(dev, s, tmpl, false);
       const double de = PrefillTflops(dev, s, tmpl, true);
       const auto& paper = tmpl == 2 ? paper_fa2[i] : paper_fa3[i];
-      t.AddRow({"(" + std::to_string(s.batch) + ", " + std::to_string(s.len) + ")",
-                WithPaper(sp, paper[0], 0), WithPaper(de, paper[1], 0),
+      t.AddRow({ShapeLabel(s), WithPaper(sp, paper[0], 0), WithPaper(de, paper[1], 0),
                 AsciiTable::Num(de / sp, 2) + "x"});
     }
     t.Print();
@@ -84,8 +93,7 @@ int main() {
   AsciiTable t({"(batch, seqlen)", "vector-sparse", "dense"});
   for (size_t i = 0; i < std::size(kShapes); ++i) {
     const auto& s = kShapes[i];
-    t.AddRow({"(" + std::to_string(s.batch) + ", " + std::to_string(s.len) + ")",
-              bench::PctWithPaper(DecodeBwUtil(dev, s, false), paper_decode[i][0]),
+    t.AddRow({ShapeLabel(s), bench::PctWithPaper(DecodeBwUtil(dev, s, false), paper_decode[i][0]),
               bench::PctWithPaper(DecodeBwUtil(dev, s, true), paper_decode[i][1])});
   }
   t.Print();

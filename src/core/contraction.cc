@@ -16,15 +16,15 @@ void MergeOneTask(const AttentionParams& p, const ReductionMap& rmap,
   const int d = p.head_dim;
   float* out = p.o->Row(task.token_row).data() + static_cast<int64_t>(task.qo_head) * d;
   if (use_softmax) {
-    std::vector<float> acc(static_cast<size_t>(d), 0.0f);
+    // The task owns its output row, so the ⊕ fold accumulates in place there.
+    for (int dd = 0; dd < d; ++dd) out[dd] = 0.0f;
     float lse_acc = -std::numeric_limits<float>::infinity();
     for (int32_t i = 0; i < task.count; ++i) {
       const int32_t slot = rmap.slots[static_cast<size_t>(task.begin + i)];
       const float* o = partials.o + static_cast<int64_t>(slot) * d;
-      MergeStateInPlace({acc.data(), static_cast<size_t>(d)}, lse_acc,
-                        {o, static_cast<size_t>(d)}, partials.lse[slot]);
+      MergeStateInPlace({out, static_cast<size_t>(d)}, lse_acc, {o, static_cast<size_t>(d)},
+                        partials.lse[slot]);
     }
-    for (int dd = 0; dd < d; ++dd) out[dd] = acc[dd];
     if (p.lse != nullptr) {
       (*p.lse)[static_cast<size_t>(task.token_row) * p.num_qo_heads + task.qo_head] = lse_acc;
     }

@@ -3,12 +3,15 @@
 #include <dlfcn.h>
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <mutex>
 #include <sstream>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "jit/codegen.h"
 #include "util/check.h"
@@ -36,25 +39,37 @@ void EnsureDir(const std::string& path) {
 
 int RunCommand(const std::string& cmd) { return std::system(cmd.c_str()); }
 
-/// FNV-1a over the generated source, the compiler and its flags.
-uint64_t CompileKey(const std::string& source, const JitOptions& opts) {
-  uint64_t h = 0xCBF29CE484222325ull;
-  for (const std::string* part : {&source, &opts.compiler, &opts.extra_flags}) {
-    for (unsigned char c : *part) {
-      h ^= c;
-      h *= 0x100000001B3ull;
-    }
-    h ^= 0xFF;  // Part separator.
-    h *= 0x100000001B3ull;
-  }
-  return h;
-}
-
 std::string ReadFile(const std::string& path) {
   std::ifstream in(path);
   std::ostringstream os;
   os << in.rdbuf();
   return os.str();
+}
+
+/// Appends the name and bytes of every header in the `#include "..."` closure
+/// of `text` that exists under `root` to `out`, depth first, each once.
+/// Names that do not resolve under `root` are skipped.
+void AppendIncludeClosure(const std::string& text, const std::string& root,
+                          std::vector<std::string>& seen, std::string& out) {
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    size_t pos = line.find_first_not_of(" \t");
+    if (pos == std::string::npos || line[pos] != '#') continue;
+    pos = line.find_first_not_of(" \t", pos + 1);
+    if (pos == std::string::npos || line.compare(pos, 7, "include") != 0) continue;
+    const size_t open = line.find_first_not_of(" \t", pos + 7);
+    if (open == std::string::npos || line[open] != '"') continue;
+    const size_t close = line.find('"', open + 1);
+    if (close == std::string::npos) continue;
+    const std::string name = line.substr(open + 1, close - open - 1);
+    const std::string path = root + "/" + name;
+    if (std::find(seen.begin(), seen.end(), name) != seen.end() || !FileExists(path)) continue;
+    seen.push_back(name);
+    const std::string header = ReadFile(path);
+    out.append(name).append(1, '\0').append(header).append(1, '\0');
+    AppendIncludeClosure(header, root, seen, out);
+  }
 }
 
 std::shared_ptr<CompiledKernel> LoadSo(const std::string& so_path) {
@@ -72,6 +87,24 @@ std::shared_ptr<CompiledKernel> LoadSo(const std::string& so_path) {
 }
 
 }  // namespace
+
+uint64_t CompileKey(const std::string& source, const JitOptions& opts,
+                    const std::string& include_root) {
+  std::vector<std::string> seen;
+  std::string headers;
+  AppendIncludeClosure(source, include_root, seen, headers);
+  uint64_t h = 0xCBF29CE484222325ull;
+  for (const std::string* part :
+       {&source, &opts.compiler, &opts.extra_flags, &std::as_const(headers)}) {
+    for (unsigned char c : *part) {
+      h ^= c;
+      h *= 0x100000001B3ull;
+    }
+    h ^= 0xFF;  // Part separator.
+    h *= 0x100000001B3ull;
+  }
+  return h;
+}
 
 CompiledKernel::CompiledKernel(void* dl_handle, WorkItemFn fn, bool use_softmax,
                                bool has_qk_transform, std::string so_path)
@@ -93,7 +126,7 @@ bool CompilerAvailable(const JitOptions& opts) {
 std::shared_ptr<CompiledKernel> CompileVariant(const AttentionSpecDesc& spec,
                                                const JitOptions& opts) {
   const std::string source = GenerateSource(spec);  // Validates the spec.
-  const uint64_t key = CompileKey(source, opts);
+  const uint64_t key = CompileKey(source, opts, FI_SRC_DIR);
 
   std::lock_guard<std::mutex> lock(g_mu);
   if (const auto it = g_registry.find(key); it != g_registry.end()) {

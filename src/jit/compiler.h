@@ -6,9 +6,9 @@
 // CompileVariant calls return the same handle) and an on-disk cache of .so
 // files (repeat processes skip compilation entirely), matching the paper's
 // "kernels are JIT-compiled at init time and cached for reuse". Both are keyed
-// on the generated source, the compiler and its flags, so a change to the
-// codegen or the kernel entry ABI never loads a stale object. Headers the
-// source includes are not part of the key.
+// by CompileKey: the generated source, the compiler, its flags and the project
+// headers the source includes, so a change to the codegen, the kernel entry
+// ABI or the microkernel headers never loads a stale object.
 #pragma once
 
 #include <memory>
@@ -29,6 +29,13 @@ struct JitOptions {
   std::string extra_flags = "-O2 -march=native -fopenmp-simd";
   bool verbose = false;
 };
+
+/// Cache key of `source` compiled under `opts`: FNV-1a over the source, the
+/// compiler, its flags, and the name and bytes of every header in the
+/// source's `#include "..."` closure that resolves under `include_root`
+/// (CompileVariant passes the simulator's own src/, its -I path).
+uint64_t CompileKey(const std::string& source, const JitOptions& opts,
+                    const std::string& include_root);
 
 /// A loaded kernel; keeps its dlopen handle alive for the lifetime of the
 /// object (kernel function pointers must not outlive it).

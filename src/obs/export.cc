@@ -20,7 +20,7 @@ std::string ArgsFor(const TraceEvent& e) {
   std::string out;
   auto add = [&out](const char* key, double v) {
     out += out.empty() ? "" : ", ";
-    out += "\"" + std::string(key) + "\": " + JsonNum(v);
+    out.append("\"").append(key).append("\": ").append(JsonNum(v));
   };
   switch (e.name) {
     case TraceName::kStep:

@@ -2,7 +2,7 @@
 
 namespace flashinfer {
 
-std::string_view DTypeName(DType dt) noexcept {
+const char* DTypeName(DType dt) noexcept {
   switch (dt) {
     case DType::kF32:
       return "f32";

@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
-#include <string_view>
 
 namespace flashinfer {
 
@@ -284,7 +283,9 @@ constexpr int DTypeBytes(DType dt) noexcept {
   return 0;
 }
 
-std::string_view DTypeName(DType dt) noexcept;
+/// Short name ("f16", "e4m3", ...). A C string, not std::string_view: every
+/// JIT-compiled kernel parses this header, and <string_view> slows that parse.
+const char* DTypeName(DType dt) noexcept;
 
 /// Maps a storage type to its DType tag.
 template <typename T>

@@ -49,8 +49,8 @@ TEST(Lz4, TinyInputsRoundTrip) {
   // Below the minimum matchable size everything is literals; exercise each
   // length around the last-literals boundary.
   for (size_t n = 1; n <= 16; ++n) {
-    std::vector<uint8_t> src(n);
-    for (size_t i = 0; i < n; ++i) src[i] = static_cast<uint8_t>(17 * i + 3);
+    std::vector<uint8_t> src;
+    for (size_t i = 0; i < n; ++i) src.push_back(static_cast<uint8_t>(17 * i + 3));
     EXPECT_EQ(RoundTrip(src), src) << "n=" << n;
   }
 }

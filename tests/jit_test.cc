@@ -2,6 +2,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <fstream>
 
 #include "jit/codegen.h"
 #include "jit/compiler.h"
@@ -137,6 +138,39 @@ TEST_F(JitCompileTest, HostNativeVanillaMatchesBuiltinAtServingGeometry) {
   EXPECT_LT(MaxAbsDiff(jit_lse, prob.lse), 1e-5f);
 }
 
+TEST_F(JitCompileTest, HostNativeKernelMatchesReferenceOnEveryBlockRemainder) {
+  // Register blocks follow the vector ISA of the build, so the host-native
+  // kernel blocks differently from the library's built-ins: run the
+  // remainder sweeps of microkernel_test through it too.
+  AttentionSpecDesc jspec;
+  jspec.name = "HostNativeSweepF32";
+  jspec.kv_dtype = DType::kF32;
+  const auto k32 = CompileVariant(jspec);
+  jspec.name = "HostNativeSweepF16";
+  jspec.kv_dtype = DType::kF16;
+  const auto k16 = CompileVariant(jspec);
+  std::vector<test::TileCase> cases;
+  for (int64_t rows = 1; rows <= 9; ++rows) {
+    cases.push_back({.qo_len = rows, .kv_len = rows + 37, .tile_kv = 16});
+  }
+  for (int tile_kv : {1, 3, 5, 7, 13}) {
+    cases.push_back({.qo_len = 3, .kv_len = 45, .tile_kv = tile_kv});
+  }
+  for (int d : {64, 128, 256, 72, 80}) {
+    cases.push_back(
+        {.qo_len = 5, .kv_len = 70, .head_dim = d, .tile_kv = 16, .dtype = DType::kF16});
+  }
+  cases.push_back({.qo_len = 6, .kv_len = 31, .tile_kv = 8, .window_left = 2});
+  cases.push_back(
+      {.qo_len = 3, .kv_len = 50, .num_qo_heads = 8, .num_kv_heads = 2, .dtype = DType::kF16});
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.Describe());
+    const auto err = test::TileCaseError(c, (c.dtype == DType::kF16 ? k16 : k32)->fn());
+    EXPECT_LT(err.o, 2e-3f);
+    EXPECT_LT(err.lse, 2e-3f);
+  }
+}
+
 TEST_F(JitCompileTest, CustomMaskVariant) {
   // A "every other token" custom mask — something no builtin provides.
   AttentionSpecDesc spec;
@@ -209,6 +243,31 @@ TEST_F(JitCompileTest, CacheKeyCoversCompilerFlags) {
   EXPECT_TRUE(k0->has_qk_transform());
   EXPECT_TRUE(k0->use_softmax());
   std::filesystem::remove_all(dir);
+}
+
+TEST(CompileKeyTest, CoversTheIncludedHeaderClosure) {
+  // A private header tree: top.h includes nested/inner.h; other.h is in the
+  // tree but included by nothing.
+  namespace fs = std::filesystem;
+  const fs::path root = ::testing::TempDir() + "fi_jit_headers_" + std::to_string(::getpid());
+  fs::remove_all(root);
+  fs::create_directories(root / "nested");
+  const auto write = [&](const char* name, const char* text) {
+    std::ofstream(root / name) << text;
+  };
+  write("top.h", "#pragma once\n#include <cmath>\n#  include \"nested/inner.h\"\n");
+  write("nested/inner.h", "inline int Inner() { return 1; }\n");
+  write("other.h", "inline int Other() { return 1; }\n");
+  const JitOptions opts;
+  const std::string source = "#include \"top.h\"\nint Entry() { return Inner(); }\n";
+  const uint64_t key = CompileKey(source, opts, root.string());
+  EXPECT_EQ(CompileKey(source, opts, root.string()), key);
+  write("other.h", "inline int Other() { return 2; }\n");
+  EXPECT_EQ(CompileKey(source, opts, root.string()), key)
+      << "a file outside the closure changed the key";
+  write("nested/inner.h", "inline int Inner() { return 2; }\n");
+  EXPECT_NE(CompileKey(source, opts, root.string()), key) << "a nested header edit kept the key";
+  fs::remove_all(root);
 }
 
 TEST(Interpreted, DefaultHooksMatchVanilla) {

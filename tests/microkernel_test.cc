@@ -206,20 +206,13 @@ TEST(SplitKv, F16GqaPartialsComposeToUnsplitResult) {
 }
 
 // ------------------------------------------------------ FA2 tile edge cases
-struct RefErr {
-  float o;
-  float lse;
-};
+using test::RefErr;
 
 /// Runs builtin `kind` serially and returns its max error against the
 /// double-precision reference.
 RefErr ErrorVsReference(test::Problem& prob, AttentionParams& p, VariantKind kind,
                         const KernelConfig& cfg) {
-  RunSerial(p, cfg, GetBuiltinKernel(kind, prob.spec.kv_dtype));
-  auto ref_o = RaggedTensor::Zeros(prob.qo_indptr, prob.q.inner);
-  std::vector<float> ref_lse(prob.lse.size(), 0.0f);
-  ReferenceAttentionKind(kind, p, &ref_o, &ref_lse);
-  return {MaxAbsDiff(prob.o.data, ref_o.data), MaxAbsDiff(prob.lse, ref_lse)};
+  return test::ErrorVsReference(prob, p, kind, cfg, GetBuiltinKernel(kind, prob.spec.kv_dtype));
 }
 
 class HeadDimSweep : public ::testing::TestWithParam<DType> {};
@@ -352,6 +345,82 @@ TEST(KernelEdge, RowMaskedAcrossWholeItemEmitsZeroAndNegInfLse) {
     } else {
       EXPECT_TRUE(std::isfinite(lse)) << "row " << i;
     }
+  }
+}
+
+// ------------------------------------------------------ blocked tile step
+// The tile step runs Q·Kᵀ in blocks of kRowBlock rows x kTokBlock tokens and
+// P·V in blocks of kRowBlock rows x kDimBlock head dims, over scratch tiles
+// zero-padded to those sizes. Each sweep drives one kind of remainder.
+
+void ExpectBuiltinMatchesReference(const test::TileCase& c) {
+  SCOPED_TRACE(c.Describe());
+  const auto err = test::TileCaseError(c, GetBuiltinKernel(c.kind, c.dtype));
+  EXPECT_LT(err.o, 2e-3f);
+  EXPECT_LT(err.lse, 2e-3f);
+}
+
+TEST(TileStep, RowCountsOneToNine) {
+  for (int64_t rows = 1; rows <= 9; ++rows) {
+    ExpectBuiltinMatchesReference({.qo_len = rows, .kv_len = rows + 37, .tile_kv = 16});
+  }
+  // GQA-fused rows: 4 heads per KV head, so 4, 12 and 20 rows.
+  for (int64_t qo : {1, 3, 5}) {
+    ExpectBuiltinMatchesReference(
+        {.qo_len = qo, .kv_len = 50, .num_qo_heads = 8, .num_kv_heads = 2});
+  }
+}
+
+TEST(TileStep, TileFillsNotAMultipleOfTheTokenBlock) {
+  // 45 tokens leave a short last tile at every tile size here.
+  for (int tile_kv : {1, 2, 3, 5, 6, 7, 9, 13, 32}) {
+    ExpectBuiltinMatchesReference({.qo_len = 3, .kv_len = 45, .tile_kv = tile_kv});
+  }
+}
+
+TEST(TileStep, HeadDims) {
+  // 64, 128 and 256 are multiples of every ISA's kDimBlock; 72 and 80 are
+  // padded (80 only where kDimBlock exceeds 16).
+  for (int d : {64, 128, 256, 72, 80}) {
+    for (DType dt : {DType::kF32, DType::kF16}) {
+      ExpectBuiltinMatchesReference(
+          {.qo_len = 5, .kv_len = 70, .head_dim = d, .tile_kv = 16, .dtype = dt});
+    }
+  }
+}
+
+TEST(TileStep, MasksInsideOneRegisterBlock) {
+  // A 9-row causal prefill ends 6 tokens past a 4-token block boundary, so
+  // the diagonal cuts through blocks; windows of 2 and 5 and a single sink
+  // leave a few visible tokens inside an otherwise masked block.
+  ExpectBuiltinMatchesReference({.qo_len = 9, .kv_len = 22, .tile_kv = 8});
+  for (int64_t window : {2, 5}) {
+    ExpectBuiltinMatchesReference({.qo_len = 6,
+                                   .kv_len = 31,
+                                   .tile_kv = 8,
+                                   .kind = VariantKind::kSlidingWindow,
+                                   .window_left = window});
+    ExpectBuiltinMatchesReference({.qo_len = 6,
+                                   .kv_len = 31,
+                                   .tile_kv = 8,
+                                   .kind = VariantKind::kStreamingLlm,
+                                   .window_left = window,
+                                   .num_sink_tokens = 1});
+  }
+}
+
+TEST(TileStep, VariantHooks) {
+  for (VariantKind kind : {VariantKind::kSigmoid, VariantKind::kFusedRope, VariantKind::kSoftCap,
+                           VariantKind::kAlibi}) {
+    ExpectBuiltinMatchesReference({.qo_len = 7, .kv_len = 29, .tile_kv = 8, .kind = kind});
+    ExpectBuiltinMatchesReference(
+        {.qo_len = 2, .kv_len = 29, .tile_kv = 8, .kind = kind, .window_left = 5});
+  }
+}
+
+TEST(TileStep, KvDtypes) {
+  for (DType dt : {DType::kF32, DType::kF16, DType::kBF16, DType::kFP8_E4M3, DType::kFP8_E5M2}) {
+    ExpectBuiltinMatchesReference({.qo_len = 5, .kv_len = 45, .tile_kv = 16, .dtype = dt});
   }
 }
 

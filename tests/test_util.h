@@ -2,7 +2,9 @@
 // serial (scheduler-free) kernel driver used to isolate kernel math.
 #pragma once
 
+#include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/kernel_dispatch.h"
@@ -114,6 +116,72 @@ inline float MaxAbsDiff(const std::vector<float>& a, const std::vector<float>& b
   float m = 0.0f;
   for (size_t i = 0; i < a.size(); ++i) m = std::max(m, std::fabs(a[i] - b[i]));
   return m;
+}
+
+struct RefErr {
+  float o;
+  float lse;
+};
+
+/// Runs `fn` serially and returns its max error against the double-precision
+/// reference of the built-in variant `kind`.
+inline RefErr ErrorVsReference(Problem& prob, AttentionParams& p, VariantKind kind,
+                               const KernelConfig& cfg, WorkItemFn fn) {
+  RunSerial(p, cfg, fn);
+  auto ref_o = RaggedTensor::Zeros(prob.qo_indptr, prob.q.inner);
+  std::vector<float> ref_lse(prob.lse.size(), 0.0f);
+  ReferenceAttentionKind(kind, p, &ref_o, &ref_lse);
+  return {MaxAbsDiff(prob.o.data, ref_o.data), MaxAbsDiff(prob.lse, ref_lse)};
+}
+
+/// One causal request through one kernel: the shapes that drive the tile
+/// step's register blocks (fused rows, tile fill, head_dim) and its masks.
+struct TileCase {
+  int64_t qo_len = 1;
+  int64_t kv_len = 40;
+  int head_dim = 64;
+  int tile_kv = 64;
+  int num_qo_heads = 2;  // Equal head counts: fused rows == qo_len.
+  int num_kv_heads = 2;
+  DType dtype = DType::kF32;
+  VariantKind kind = VariantKind::kVanilla;
+  int64_t window_left = -1;
+  int64_t num_sink_tokens = 0;
+
+  std::string Describe() const {
+    char buf[192];
+    std::snprintf(buf, sizeof(buf),
+                  "qo=%lld kv=%lld d=%d tile_kv=%d heads=%d/%d %s %s window=%lld sinks=%lld",
+                  static_cast<long long>(qo_len), static_cast<long long>(kv_len), head_dim,
+                  tile_kv, num_qo_heads, num_kv_heads, DTypeName(dtype),
+                  VariantKindName(kind), static_cast<long long>(window_left),
+                  static_cast<long long>(num_sink_tokens));
+    return buf;
+  }
+};
+
+/// Error of `fn` (a kernel for c.kind and c.dtype) on `c`, at tile_q 16.
+inline RefErr TileCaseError(const TileCase& c, WorkItemFn fn) {
+  ProblemSpec spec;
+  spec.qo_lens = {c.qo_len};
+  spec.kv_lens = {c.kv_len};
+  spec.num_qo_heads = c.num_qo_heads;
+  spec.num_kv_heads = c.num_kv_heads;
+  spec.head_dim = c.head_dim;
+  spec.kv_dtype = c.dtype;
+  spec.tile_q = 16;
+  auto prob = MakeProblem(spec);
+  auto p = prob.Params();
+  p.variant.causal = true;
+  p.variant.window_left = c.window_left;
+  p.variant.num_sink_tokens = c.num_sink_tokens;
+  p.variant.logits_soft_cap = 2.0f;
+  p.variant.sigmoid_scale = 1.5f;
+  p.variant.sigmoid_bias = -0.5f;
+  KernelConfig cfg;
+  cfg.tile_q = 16;
+  cfg.tile_kv = c.tile_kv;
+  return ErrorVsReference(prob, p, c.kind, cfg, fn);
 }
 
 }  // namespace flashinfer::test

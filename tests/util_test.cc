@@ -224,7 +224,7 @@ TEST(DTypeTraits, BytesAndNames) {
   EXPECT_EQ(DTypeBytes(DType::kF16), 2);
   EXPECT_EQ(DTypeBytes(DType::kBF16), 2);
   EXPECT_EQ(DTypeBytes(DType::kFP8_E4M3), 1);
-  EXPECT_EQ(DTypeName(DType::kFP8_E4M3), "e4m3");
+  EXPECT_STREQ(DTypeName(DType::kFP8_E4M3), "e4m3");
 }
 
 // ---------------------------------------------------------------- rng
