@@ -42,7 +42,6 @@ double PrefillTflops(const gpusim::DeviceSpec& dev, const Shape& s, int tmpl, bo
   in.causal = true;
   in.force_template = tmpl;
   in.force_dense = dense;
-  in.page_size = dense ? 128 : 1;  // Vector-sparse: PageAttention page size 1.
   const auto r = SimulateBatchAttention(dev, FlashInferBackend(), in);
   return r.AchievedTflops();
 }
@@ -55,7 +54,6 @@ double DecodeBwUtil(const gpusim::DeviceSpec& dev, const Shape& s, bool dense) {
   in.num_kv_heads = 32;
   in.head_dim = 128;
   in.force_dense = dense;
-  in.page_size = dense ? 128 : 1;
   const auto r = SimulateBatchAttention(dev, FlashInferBackend(), in);
   return r.BandwidthUtil(dev);
 }

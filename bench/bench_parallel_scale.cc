@@ -154,7 +154,7 @@ int main(int argc, char** argv) {
               AsciiTable::Num(run.metrics.aggregate.num_preemptions, 0),
               same ? "yes" : "NO"});
     json.Add("wall_ms_t" + std::to_string(threads), run.wall_ms);
-    json.Add("speedup_t" + std::to_string(threads), speedup);
+    json.Add("wall_speedup_t" + std::to_string(threads), speedup);
   }
   t.Print();
   json.Add("cluster_tok_s", serial.metrics.ThroughputTokS());

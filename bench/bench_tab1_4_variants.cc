@@ -50,7 +50,6 @@ double VariantTflops(const gpusim::DeviceSpec& dev, Variant v, int64_t len, bool
     // CUDA/CUTLASS by ~1.33x on these shapes (no warp specialization /
     // fine register control — Appendix C); block-sparse masks are (128,128).
     backend.kernel_time_scale = 1.33;
-    in.page_size = 128;
   }
   auto r = SimulateBatchAttention(dev, backend, in);
   // Extra per-logit math for the variant hooks (tanh for soft-cap, slope

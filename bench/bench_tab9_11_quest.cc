@@ -29,7 +29,6 @@ double FlashInferUs(const gpusim::DeviceSpec& dev, int64_t seq, int budget) {
   in.num_qo_heads = 32;
   in.num_kv_heads = 32;
   in.head_dim = 128;
-  in.page_size = 16;
   in.causal = false;  // Selected pages are all visible.
   return SimulateBatchAttention(dev, FlashInferBackend(), in).time_us + kHarnessUs;
 }
@@ -43,7 +42,6 @@ double SdpaUs(const gpusim::DeviceSpec& dev, int64_t seq) {
   in.num_kv_heads = 32;
   in.head_dim = 128;
   in.force_dense = true;
-  in.page_size = 128;
   auto backend = FlashAttentionBackend();  // Per-(head) CTA grid, no split.
   // Eager SDPA runs unfused QK^T / softmax / PV passes over GEMV-shaped
   // operands; cuBLAS batched kernels reach roughly half the streaming
@@ -62,7 +60,6 @@ double FlexUs(const gpusim::DeviceSpec& dev, int64_t seq, int budget) {
   in.num_qo_heads = 32;
   in.num_kv_heads = 32;
   in.head_dim = 128;
-  in.page_size = 128;
   in.force_template = 2;  // Triton: FA2-class efficiency on Hopper.
   auto backend = FlashInferBackend();
   backend.kernel_time_scale = 1.12;

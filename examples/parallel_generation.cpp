@@ -93,7 +93,6 @@ int main() {
   in.num_qo_heads = heads;
   in.num_kv_heads = kv_heads;
   in.head_dim = head_dim;
-  in.page_size = page_size;
   serving::AttnSimInput::Group g;
   g.prefix_len = prompt_len;
   g.members.resize(static_cast<size_t>(n));

@@ -196,9 +196,11 @@ inline constexpr float kFastExpMin = -87.0f;
 /// Cody-Waite reduction x = n ln2 + r, |r| <= ln2/2, e^r = 1 + r + r^2 P(r)
 /// with the Cephes expf coefficients, and 2^n assembled in the exponent
 /// bits. Within 1 ulp of e^x on [kFastExpMin, 0] (exhaustively tested in
-/// fast_exp_test); inputs below kFastExpMin, -inf included, give 0.
+/// fast_exp_test); inputs below kFastExpMin, -inf included, give 0. Inputs
+/// above -2^-30 are evaluated at 0: e^x rounds to 1 there, and r * r would
+/// otherwise be subnormal (a microcode assist on every such lane).
 inline float FastExp(float x) noexcept {
-  const float xc = x < kFastExpMin ? kFastExpMin : x;
+  const float xc = x > -0x1p-30f ? 0.0f : x < kFastExpMin ? kFastExpMin : x;
   // Round-to-nearest n = x / ln2 by the 1.5 * 2^23 shifter.
   const float shifted = xc * 1.44269504088896341f + 12582912.0f;
   const float n = shifted - 12582912.0f;

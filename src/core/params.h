@@ -76,6 +76,10 @@ struct WorkItem {
   /// Partial-output base row in the workspace, or -1 for writethrough
   /// (Appendix D.2: unsplit requests write the final output directly).
   int32_t dest = -1;
+  /// Fused rows in the query tile (fills the tail padding).
+  int32_t rows = 0;
+
+  bool operator==(const WorkItem&) const = default;
 };
 
 /// Destination buffers for split-KV partial states.

@@ -79,18 +79,8 @@ void BatchAttentionHandle::Plan(const sparse::BsrMatrix* bsr, std::vector<int64_
 
   const auto t0 = std::chrono::steady_clock::now();
   const auto units = EnumerateWorkUnits(p);
-  switch (info_.scheduler) {
-    case SchedulerKind::kBalanced:
-      plan_ = MakeBalancedPlan(p, units, cfg_, num_ctas_, workspace_->MaxPartialRows());
-      break;
-    case SchedulerKind::kNaive:
-      plan_ = MakeNaivePlan(units);
-      break;
-    case SchedulerKind::kFixedSplit:
-      plan_ = MakeFixedSplitPlan(p, units, cfg_, num_ctas_, info_.fixed_splits,
-                                 workspace_->MaxPartialRows());
-      break;
-  }
+  plan_ = MakePlan(info_.scheduler, p, units, cfg_, num_ctas_, info_.fixed_splits,
+                   workspace_->MaxPartialRows());
   const auto t1 = std::chrono::steady_clock::now();
   last_plan_cpu_us_ =
       std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count() / 1e3;

@@ -11,30 +11,41 @@ namespace flashinfer {
 
 namespace {
 
-/// Builds the reduction map rows for one work unit split into `num_chunks`
-/// chunks whose partial rows start at `first_base`, `unit.rows` apart,
-/// mirroring the kernel's fused-row mapping (Appendix A).
-void AppendMergeTasks(const AttentionParams& p, const WorkUnit& unit, int32_t first_base,
-                      int64_t num_chunks, ReductionMap* rmap) {
-  const auto& bsr = *p.bsr;
+/// Splits `u`'s KV into chunks of at most `chunk_len` tokens and passes each
+/// chunk's item to `emit`, in KV order. A single chunk writes through
+/// (Appendix D.2); the chunks of a split unit take `u.rows` partial rows each
+/// from `*next_partial_row`, and the unit's merge tasks join `rmap`.
+template <typename EmitFn>
+void SplitUnit(const AttentionParams& p, const WorkUnit& u, int64_t chunk_len,
+               int32_t* next_partial_row, ReductionMap* rmap, EmitFn emit) {
+  if (u.kv_len <= chunk_len) {
+    emit(WorkItem{u.block_row, u.request, u.kv_head, u.qo_head, 0, u.kv_len, -1, u.rows});
+    return;
+  }
+  // One merge task per fused row i of the tile: it reads partial row
+  // base + k * rows + i of every chunk k, mirroring the kernel's fused-row
+  // mapping (Appendix A).
   const int g = p.head_fusion ? p.GroupSize() : 1;
-  const int64_t row0 = bsr.row_start[static_cast<size_t>(unit.block_row)];
-  const int64_t fused_begin = p.FusedBegin(unit.request);
-  for (int i = 0; i < unit.rows; ++i) {
-    const int64_t local = row0 + i - fused_begin;
-    const int64_t token_local = p.head_fusion ? local / g : local;
-    const int qo_head = p.head_fusion
-                            ? unit.kv_head * g + static_cast<int>(local % g)
-                            : unit.qo_head;
+  const int64_t num_chunks = (u.kv_len + chunk_len - 1) / chunk_len;
+  const int32_t base = *next_partial_row;
+  const int64_t first_local = u.row_begin - p.FusedBegin(u.request);
+  for (int i = 0; i < u.rows; ++i) {
+    const int64_t local = first_local + i;
     ReductionMap::Task task;
-    task.token_row = p.qo_indptr[static_cast<size_t>(unit.request)] + token_local;
-    task.qo_head = qo_head;
+    task.token_row =
+        p.qo_indptr[static_cast<size_t>(u.request)] + (p.head_fusion ? local / g : local);
+    task.qo_head = p.head_fusion ? u.kv_head * g + static_cast<int>(local % g) : u.qo_head;
     task.begin = static_cast<int32_t>(rmap->slots.size());
     task.count = static_cast<int32_t>(num_chunks);
     for (int64_t k = 0; k < num_chunks; ++k) {
-      rmap->slots.push_back(first_base + static_cast<int32_t>(k) * unit.rows + i);
+      rmap->slots.push_back(base + static_cast<int32_t>(k) * u.rows + i);
     }
     rmap->tasks.push_back(task);
+  }
+  for (int64_t lo = 0; lo < u.kv_len; lo += chunk_len) {
+    emit(WorkItem{u.block_row, u.request, u.kv_head, u.qo_head, lo,
+                  std::min(u.kv_len, lo + chunk_len), *next_partial_row, u.rows});
+    *next_partial_row += u.rows;
   }
 }
 
@@ -52,6 +63,35 @@ void LayOutQueues(int num_ctas, size_t num_items, OwnerFn owner_of, ItemFn item_
   plan->items.resize(num_items);
   for (size_t k = 0; k < num_items; ++k) {
     plan->items[static_cast<size_t>(cursor[static_cast<size_t>(owner_of(k))]++)] = item_at(k);
+  }
+}
+
+/// Appends one work unit per scheduled head for query tile `block_row`: fused
+/// rows [row_begin, row_begin + rows) of `request` over `kv_len` KV tokens.
+/// Causal trimming: the tile's last query row attends at most kv_len - qo_len
+/// + token_local + 1 tokens; later KV is dead work the kernel skips.
+void AppendTileUnits(const AttentionParams& p, int64_t block_row, int request,
+                     int64_t row_begin, int rows, int64_t kv_len,
+                     std::vector<WorkUnit>* units) {
+  const int g = p.head_fusion ? p.GroupSize() : 1;
+  if (p.variant.causal) {
+    const int64_t last_local = row_begin + rows - 1 - p.FusedBegin(request);
+    const int64_t last_token = p.head_fusion ? last_local / g : last_local;
+    const int64_t q_pos_hi = p.kv_len[static_cast<size_t>(request)] - p.QoLen(request) +
+                             last_token + 1;
+    kv_len = std::min(kv_len, std::max<int64_t>(q_pos_hi, 0));
+  }
+  const int num_heads = p.head_fusion ? p.num_kv_heads : p.num_qo_heads;
+  for (int h = 0; h < num_heads; ++h) {
+    WorkUnit u;
+    u.block_row = static_cast<int32_t>(block_row);
+    u.request = request;
+    u.kv_head = p.head_fusion ? h : h / p.GroupSize();
+    u.qo_head = p.head_fusion ? -1 : h;
+    u.row_begin = row_begin;
+    u.kv_len = kv_len;
+    u.rows = rows;
+    units->push_back(u);
   }
 }
 
@@ -88,7 +128,6 @@ std::vector<WorkUnit> EnumerateWorkUnits(const AttentionParams& p) {
   const auto& bsr = *p.bsr;
   std::vector<WorkUnit> units;
   const int num_heads = p.head_fusion ? p.num_kv_heads : p.num_qo_heads;
-  const int g = p.head_fusion ? p.GroupSize() : 1;
   units.reserve(static_cast<size_t>(bsr.NumBlockRows() * num_heads));
   int request = 0;
   const int num_reqs = static_cast<int>(p.qo_indptr.size()) - 1;
@@ -96,28 +135,27 @@ std::vector<WorkUnit> EnumerateWorkUnits(const AttentionParams& p) {
     const int64_t row0 = bsr.row_start[static_cast<size_t>(br)];
     // Advance to the owning request (block rows are laid out per request).
     while (request + 1 < num_reqs && p.FusedBegin(request + 1) <= row0) ++request;
-    int64_t kv_len_row = bsr.RowKvLen(br);
-    const int rows = bsr.RowsInBlock(br);
-    if (p.variant.causal) {
-      // Causal trimming: the tile's last query row attends at most
-      // kv_len - qo_len + token_local + 1 tokens, so later KV is dead work
-      // the kernel skips (fully-masked tiles are never scheduled).
-      const int64_t last_local = bsr.row_start[static_cast<size_t>(br) + 1] - 1 -
-                                 p.FusedBegin(request);
-      const int64_t last_token = p.head_fusion ? last_local / g : last_local;
-      const int64_t q_pos_hi = p.kv_len[static_cast<size_t>(request)] - p.QoLen(request) +
-                               last_token + 1;
-      kv_len_row = std::min(kv_len_row, std::max<int64_t>(q_pos_hi, 0));
-    }
-    for (int h = 0; h < num_heads; ++h) {
-      WorkUnit u;
-      u.block_row = static_cast<int32_t>(br);
-      u.request = request;
-      u.kv_head = p.head_fusion ? h : h / p.GroupSize();
-      u.qo_head = p.head_fusion ? -1 : h;
-      u.kv_len = kv_len_row;
-      u.rows = rows;
-      units.push_back(u);
+    AppendTileUnits(p, br, request, row0, bsr.RowsInBlock(br), bsr.RowKvLen(br), &units);
+  }
+  return units;
+}
+
+std::vector<WorkUnit> EnumerateWorkUnits(const AttentionParams& p, int tile_q) {
+  FI_CHECK_GE(tile_q, 1);
+  const int g = p.head_fusion ? p.GroupSize() : 1;
+  const int num_heads = p.head_fusion ? p.num_kv_heads : p.num_qo_heads;
+  const int num_reqs = static_cast<int>(p.qo_indptr.size()) - 1;
+  int64_t block_rows = 0;
+  for (int r = 0; r < num_reqs; ++r) block_rows += (p.QoLen(r) * g + tile_q - 1) / tile_q;
+  std::vector<WorkUnit> units;
+  units.reserve(static_cast<size_t>(block_rows * num_heads));
+  int64_t br = 0;
+  for (int r = 0; r < num_reqs; ++r) {
+    const int64_t fused = p.QoLen(r) * g;
+    for (int64_t lo = 0; lo < fused; lo += tile_q, ++br) {
+      AppendTileUnits(p, br, r, p.FusedBegin(r) + lo,
+                      static_cast<int>(std::min<int64_t>(tile_q, fused - lo)),
+                      p.kv_len[static_cast<size_t>(r)], &units);
     }
   }
   return units;
@@ -163,31 +201,20 @@ Plan MakeBalancedPlan(const AttentionParams& p, std::span<const WorkUnit> units,
   lkv = std::max<int64_t>(((lkv + tile_kv - 1) / tile_kv) * tile_kv, tile_kv);
   plan.lkv_chunk = lkv;
 
-  // Line 4: split each work unit's KV into chunks of at most lkv tokens;
-  // single-chunk units write through (Appendix D.2). `order` pairs each
-  // chunk's cost with its index in `chunks`.
+  // Line 4: split each work unit's KV into chunks of at most lkv tokens.
+  // `order` pairs each chunk's cost with its index in `chunks`.
   std::vector<WorkItem> chunks;
   std::vector<std::pair<double, int32_t>> order;
   chunks.reserve(units.size());
   order.reserve(units.size());
-  const auto add_chunk = [&](const WorkUnit& u, int64_t lo, int64_t hi, int32_t dest) {
-    order.emplace_back(alpha * static_cast<double>(u.rows) + beta * static_cast<double>(hi - lo),
-                       static_cast<int32_t>(chunks.size()));
-    chunks.push_back(WorkItem{u.block_row, u.request, u.kv_head, u.qo_head, lo, hi, dest});
-  };
   int32_t next_partial_row = 0;
   for (const auto& u : units) {
-    const int64_t n_chunks = u.kv_len <= lkv ? 1 : (u.kv_len + lkv - 1) / lkv;
-    if (n_chunks == 1) {
-      add_chunk(u, 0, u.kv_len, -1);
-      continue;
-    }
-    AppendMergeTasks(p, u, next_partial_row, n_chunks, &plan.rmap);
-    for (int64_t k = 0; k < n_chunks; ++k) {
-      const int64_t lo = k * lkv;
-      add_chunk(u, lo, std::min<int64_t>(u.kv_len, lo + lkv), next_partial_row);
-      next_partial_row += u.rows;
-    }
+    SplitUnit(p, u, lkv, &next_partial_row, &plan.rmap, [&](const WorkItem& item) {
+      order.emplace_back(alpha * static_cast<double>(item.rows) +
+                             beta * static_cast<double>(item.kv_end - item.kv_begin),
+                         static_cast<int32_t>(chunks.size()));
+      chunks.push_back(item);
+    });
   }
   plan.num_partial_rows = next_partial_row;
   FI_CHECK_LE(plan.num_partial_rows, max_partial_rows);
@@ -231,7 +258,8 @@ Plan MakeNaivePlan(std::span<const WorkUnit> units) {
   plan.cta_begin.reserve(units.size() + 1);
   plan.cta_begin.push_back(0);
   for (const auto& u : units) {
-    plan.items.push_back(WorkItem{u.block_row, u.request, u.kv_head, u.qo_head, 0, u.kv_len, -1});
+    plan.items.push_back(
+        WorkItem{u.block_row, u.request, u.kv_head, u.qo_head, 0, u.kv_len, -1, u.rows});
     plan.cta_begin.push_back(static_cast<int64_t>(plan.items.size()));
   }
   return plan;
@@ -253,19 +281,8 @@ Plan MakeFixedSplitPlan(const AttentionParams& p, std::span<const WorkUnit> unit
     // Split into up to num_splits tile-aligned chunks.
     int64_t chunk_len = (u.kv_len + num_splits - 1) / num_splits;
     chunk_len = std::max<int64_t>(((chunk_len + tile_kv - 1) / tile_kv) * tile_kv, tile_kv);
-    const int64_t n_chunks = u.kv_len <= chunk_len ? 1 : (u.kv_len + chunk_len - 1) / chunk_len;
-    if (n_chunks == 1) {
-      chunks.push_back(WorkItem{u.block_row, u.request, u.kv_head, u.qo_head, 0, u.kv_len, -1});
-      continue;
-    }
-    AppendMergeTasks(p, u, next_partial_row, n_chunks, &plan.rmap);
-    for (int64_t k = 0; k < n_chunks; ++k) {
-      const int64_t lo = k * chunk_len;
-      const int64_t hi = std::min<int64_t>(u.kv_len, lo + chunk_len);
-      chunks.push_back(
-          WorkItem{u.block_row, u.request, u.kv_head, u.qo_head, lo, hi, next_partial_row});
-      next_partial_row += u.rows;
-    }
+    SplitUnit(p, u, chunk_len, &next_partial_row, &plan.rmap,
+              [&](const WorkItem& item) { chunks.push_back(item); });
   }
   plan.num_partial_rows = next_partial_row;
   FI_CHECK_LE(plan.num_partial_rows, max_partial_rows);
@@ -273,6 +290,20 @@ Plan MakeFixedSplitPlan(const AttentionParams& p, std::span<const WorkUnit> unit
       num_ctas, chunks.size(), [&](size_t k) { return static_cast<int>(k % num_ctas); },
       [&](size_t k) { return chunks[k]; }, &plan);
   return plan;
+}
+
+Plan MakePlan(SchedulerKind kind, const AttentionParams& p, std::span<const WorkUnit> units,
+              const KernelConfig& cfg, int num_ctas, int fixed_splits,
+              int64_t max_partial_rows) {
+  switch (kind) {
+    case SchedulerKind::kNaive:
+      return MakeNaivePlan(units);
+    case SchedulerKind::kFixedSplit:
+      return MakeFixedSplitPlan(p, units, cfg, num_ctas, fixed_splits, max_partial_rows);
+    case SchedulerKind::kBalanced:
+      break;
+  }
+  return MakeBalancedPlan(p, units, cfg, num_ctas, max_partial_rows);
 }
 
 gpusim::WorkCost AttentionWorkItemCost(int rows, int64_t kv_tokens, int head_dim, int kv_bytes,
@@ -313,9 +344,8 @@ gpusim::SimReport PricePlan(const gpusim::DeviceSpec& dev, const AttentionParams
   for (int cta = 0; cta < plan.NumCtas(); ++cta) {
     gpusim::CtaCost cost;
     for (const auto& item : plan.Queue(cta)) {
-      const int rows = p.bsr->RowsInBlock(item.block_row);
       const int64_t kv_tokens = item.kv_end - item.kv_begin;
-      auto wc = AttentionWorkItemCost(rows, kv_tokens, p.head_dim, kvb, has_qk_transform,
+      auto wc = AttentionWorkItemCost(item.rows, kv_tokens, p.head_dim, kvb, has_qk_transform,
                                       item.dest >= 0);
       if (kv_l2_fraction > 0.0) {
         const double kv_bytes = static_cast<double>(kv_tokens) * 2.0 * p.head_dim * kvb;

@@ -1,10 +1,10 @@
 // Load-balanced scheduling (Sec. 3.3.1, Algorithm 1).
 //
-// The scheduler consumes sequence-length information (per query-tile KV
-// lengths, already tiled at Tq through the BSR) and produces the plan: the
-// work queue of every CTA plus the reduction map between partial and final
-// outputs. Long KV rows are split into chunks of at most Lkv tokens
-// (Lkv = ceil(total work / #CTA)); chunks are assigned
+// The scheduler consumes sequence-length information (qo_indptr and KV
+// lengths tiled at Tq, or a BSR for masks that lengths cannot describe) and
+// produces the plan: the work queue of every CTA plus the reduction map
+// between partial and final outputs. Long KV rows are split into chunks of
+// at most Lkv tokens (Lkv = ceil(total work / #CTA)); chunks are assigned
 // longest-processing-time-first onto a min-heap of CTAs. Inspired by
 // Stream-K but with deterministic aggregation order instead of atomics:
 // identical sequence lengths always produce identical plans and identical
@@ -30,17 +30,32 @@
 
 namespace flashinfer {
 
+/// Scheduling policy (ablation knob for Tables 6-7).
+enum class SchedulerKind : uint8_t {
+  kBalanced,    // Algorithm 1.
+  kNaive,       // One CTA per work unit, no splitting.
+  kFixedSplit,  // FlashDecoding-style constant split count.
+};
+
 /// Work units before chunking: every (block_row, head) pair. Exposed for
 /// tests and for the serving cost model.
 struct WorkUnit {
   int32_t block_row;
   int32_t request;
   int32_t kv_head;
-  int32_t qo_head;  // -1 under head fusion.
-  int64_t kv_len;   // Row KV length.
-  int rows;         // Fused rows in the tile.
+  int32_t qo_head;    // -1 under head fusion.
+  int64_t row_begin;  // First fused row of the tile.
+  int64_t kv_len;     // Row KV length (causally trimmed).
+  int rows;           // Fused rows in the tile.
+
+  bool operator==(const WorkUnit&) const = default;
 };
+/// Work units of the block rows of `p.bsr` (row KV = the row's valid columns).
 std::vector<WorkUnit> EnumerateWorkUnits(const AttentionParams& p);
+/// Work units from lengths alone: each request's fused rows tiled at
+/// `tile_q`, every tile attending the request's `p.kv_len`. Equals the BSR
+/// overload over a batch BSR built at Br = `tile_q` from the same lengths.
+std::vector<WorkUnit> EnumerateWorkUnits(const AttentionParams& p, int tile_q);
 
 /// A complete execution plan for one attention launch.
 struct Plan {
@@ -92,6 +107,12 @@ Plan MakeNaivePlan(std::span<const WorkUnit> units);
 Plan MakeFixedSplitPlan(const AttentionParams& p, std::span<const WorkUnit> units,
                         const KernelConfig& cfg, int num_ctas, int num_splits,
                         int64_t max_partial_rows);
+
+/// Dispatches on `kind`: MakeBalancedPlan, MakeNaivePlan, or
+/// MakeFixedSplitPlan with `fixed_splits` splits.
+Plan MakePlan(SchedulerKind kind, const AttentionParams& p, std::span<const WorkUnit> units,
+              const KernelConfig& cfg, int num_ctas, int fixed_splits,
+              int64_t max_partial_rows);
 
 /// Fraction of the launch's KV reads served by L2 rather than HBM due to
 /// intra-batch reuse: every query tile of a request re-reads the request's

@@ -55,44 +55,44 @@ BackendConfig VllmDefaultBackend() {
 
 namespace {
 
-/// Builds sequential fake page tables for a batch of KV lengths (the
-/// estimator needs structure, not data).
-std::vector<sparse::RequestKv> FakePages(const std::vector<int64_t>& kv_lens, int page_size,
-                                         const std::vector<int64_t>& pos_offsets) {
-  std::vector<sparse::RequestKv> kv(kv_lens.size());
-  int64_t next_page = 0;
-  for (size_t r = 0; r < kv_lens.size(); ++r) {
-    const int64_t len = kv_lens[r];
-    const int64_t pages = (len + page_size - 1) / page_size;
-    kv[r].pages.resize(static_cast<size_t>(pages));
-    std::iota(kv[r].pages.begin(), kv[r].pages.end(), next_page);
-    next_page += pages;
-    kv[r].last_page_len =
-        len == 0 ? 0 : static_cast<int>(len - (pages - 1) * page_size);
-    kv[r].pos_offset = pos_offsets.empty() ? 0 : pos_offsets[r];
-  }
-  return kv;
+/// The launch's kernel configuration: the heuristic tile for `avg_fused`
+/// fused rows per request, then the caller's tile (`tile_q` > 0) and the
+/// bench's template overrides.
+KernelConfig LaunchConfig(const gpusim::DeviceSpec& dev, const BackendConfig& backend,
+                          const AttnSimInput& in, double avg_fused, bool sparse, int tile_q) {
+  KernelConfig cfg =
+      SelectKernelConfig(dev, avg_fused, in.head_dim, DTypeBytes(backend.kv_dtype), sparse);
+  cfg.head_fusion = backend.head_fusion;
+  if (tile_q > 0) cfg.tile_q = tile_q;
+  if (in.force_template == 2) cfg.tmpl = gpusim::TemplateGen::kFA2;
+  if (in.force_template == 3) cfg.tmpl = gpusim::TemplateGen::kFA3;
+  return cfg;
 }
 
-/// Schedules `p` with the backend's policy and prices the plan, composing
-/// the caller's cross-request L2 reuse fraction with intra-batch tile reuse.
+/// Params of a launch over (qo_lens, kv_lens) in `in`'s head geometry.
+AttentionParams LaunchParams(const BackendConfig& backend, const AttnSimInput& in,
+                             const std::vector<int64_t>& qo_lens,
+                             const std::vector<int64_t>& kv_lens) {
+  AttentionParams p;
+  p.qo_indptr = BuildIndptr(qo_lens);
+  p.kv_len = kv_lens;
+  p.num_qo_heads = in.num_qo_heads;
+  p.num_kv_heads = in.num_kv_heads;
+  p.head_dim = in.head_dim;
+  p.head_fusion = backend.head_fusion;
+  p.variant.causal = in.causal;  // Enables causal work trimming in planning.
+  return p;
+}
+
+/// Schedules `units` with the backend's policy and prices the plan,
+/// composing the caller's cross-request L2 reuse fraction with intra-batch
+/// tile reuse.
 gpusim::SimReport PlanAndPrice(const gpusim::DeviceSpec& dev, const BackendConfig& backend,
-                               const AttentionParams& p, const KernelConfig& cfg,
-                               double extra_l2_fraction) {
-  const int num_ctas = dev.num_sms;  // Persistent grid, k = 1.
-  const auto units = EnumerateWorkUnits(p);
-  Plan plan;
-  switch (backend.scheduler) {
-    case SchedulerKind::kBalanced:
-      plan = MakeBalancedPlan(p, units, cfg, num_ctas, int64_t{1} << 40);
-      break;
-    case SchedulerKind::kNaive:
-      plan = MakeNaivePlan(units);
-      break;
-    case SchedulerKind::kFixedSplit:
-      plan = MakeFixedSplitPlan(p, units, cfg, num_ctas, 4, int64_t{1} << 40);
-      break;
-  }
+                               const KernelConfig& cfg, const AttentionParams& p,
+                               std::span<const WorkUnit> units, double extra_l2_fraction) {
+  // Persistent grid, k = 1.
+  const auto plan = MakePlan(backend.scheduler, p, units, cfg, dev.num_sms,
+                             /*fixed_splits=*/4, int64_t{1} << 40);
   const double auto_l2 = IntraBatchKvReuseFraction(p, units);
   const double l2_fraction = 1.0 - (1.0 - extra_l2_fraction) * (1.0 - auto_l2);
   // Priced as the vanilla kernel; an unfused RoPE pass is the engine's to add
@@ -108,45 +108,17 @@ gpusim::SimReport PriceSingleFormat(const gpusim::DeviceSpec& dev,
                                     const BackendConfig& backend, const AttnSimInput& in,
                                     const std::vector<int64_t>& qo_lens,
                                     const std::vector<int64_t>& kv_lens,
-                                    const std::vector<int64_t>& pos_offsets,
                                     int tile_q_override = 0) {
-  FI_CHECK_EQ(qo_lens.size(), kv_lens.size());
-  const int g = in.num_qo_heads / in.num_kv_heads;
+  const int g = backend.head_fusion ? in.num_qo_heads / in.num_kv_heads : 1;
   const int64_t total_q = std::accumulate(qo_lens.begin(), qo_lens.end(), int64_t{0});
   const double avg_fused =
-      qo_lens.empty() ? 1.0
-                      : static_cast<double>(total_q) / static_cast<double>(qo_lens.size()) *
-                            (backend.head_fusion ? g : 1);
-
-  KernelConfig cfg = SelectKernelConfig(dev, avg_fused, in.head_dim,
-                                        DTypeBytes(backend.kv_dtype),
-                                        /*sparse=*/!in.force_dense);
-  cfg.head_fusion = backend.head_fusion;
-  if (tile_q_override > 0) cfg.tile_q = tile_q_override;
-  if (in.tile_q_override > 0) cfg.tile_q = in.tile_q_override;
-  if (in.force_template == 2) cfg.tmpl = gpusim::TemplateGen::kFA2;
-  if (in.force_template == 3) cfg.tmpl = gpusim::TemplateGen::kFA3;
-
-  // Fused-row indptr and BSR.
-  std::vector<int64_t> fused_lens(qo_lens.size());
-  for (size_t i = 0; i < qo_lens.size(); ++i) {
-    fused_lens[i] = qo_lens[i] * (backend.head_fusion ? g : 1);
-  }
-  const auto fused_indptr = BuildIndptr(fused_lens);
-  const auto kv = FakePages(kv_lens, in.page_size, pos_offsets);
-  const auto bsr = sparse::BuildBatchBsr(fused_indptr, kv, in.page_size, cfg.tile_q);
-
-  AttentionParams p;
-  p.bsr = &bsr;
-  p.qo_indptr = BuildIndptr(qo_lens);
-  p.kv_len = kv_lens;
-  p.num_qo_heads = in.num_qo_heads;
-  p.num_kv_heads = in.num_kv_heads;
-  p.head_dim = in.head_dim;
-  p.head_fusion = backend.head_fusion;
-  p.variant.causal = in.causal;  // Enables causal work trimming in planning.
-
-  return PlanAndPrice(dev, backend, p, cfg, in.kv_l2_fraction);
+      static_cast<double>(total_q) / static_cast<double>(qo_lens.size()) * g;
+  const auto cfg =
+      LaunchConfig(dev, backend, in, avg_fused, /*sparse=*/!in.force_dense,
+                   in.tile_q_override > 0 ? in.tile_q_override : tile_q_override);
+  const auto p = LaunchParams(backend, in, qo_lens, kv_lens);
+  return PlanAndPrice(dev, backend, cfg, p, EnumerateWorkUnits(p, cfg.tile_q),
+                      in.kv_l2_fraction);
 }
 
 /// Fused-row boundary between the compute-bound ("large") and
@@ -209,23 +181,14 @@ std::optional<gpusim::SimReport> TryPricePackedTiles(const gpusim::DeviceSpec& d
   int small_tile = 16;
   while (small_tile < 64 && small_tile < small_avg) small_tile *= 2;
 
-  AttnSimInput flat = in;
-  flat.groups.clear();
-  const auto small_report = PriceSingleFormat(dev, backend, flat, small_qo, small_kv,
-                                              /*pos_offsets=*/{}, small_tile);
-  const auto large_report =
-      PriceSingleFormat(dev, backend, flat, large_qo, large_kv, /*pos_offsets=*/{});
+  const auto small_report =
+      PriceSingleFormat(dev, backend, in, small_qo, small_kv, small_tile);
+  const auto large_report = PriceSingleFormat(dev, backend, in, large_qo, large_kv);
 
-  gpusim::SimReport out;
-  out.num_ctas = std::max(small_report.num_ctas, large_report.num_ctas);
-  out.cta_time_us = small_report.cta_time_us;
+  gpusim::SimReport out = small_report;
+  out.Append(large_report);
   out.cta_time_us.insert(out.cta_time_us.end(), large_report.cta_time_us.begin(),
                          large_report.cta_time_us.end());
-  out.total_hbm_bytes = small_report.total_hbm_bytes + large_report.total_hbm_bytes;
-  out.total_l2_bytes = small_report.total_l2_bytes + large_report.total_l2_bytes;
-  out.total_tensor_flops =
-      small_report.total_tensor_flops + large_report.total_tensor_flops;
-  out.total_cuda_flops = small_report.total_cuda_flops + large_report.total_cuda_flops;
   const double hi = std::max(small_report.time_us, large_report.time_us);
   const double lo = std::min(small_report.time_us, large_report.time_us);
   // One persistent launch: the second class's launch overhead is not paid
@@ -245,29 +208,33 @@ gpusim::SimReport SimulateMaskedAttention(const gpusim::DeviceSpec& dev,
                                           const std::vector<int64_t>& kv_lens) {
   FI_CHECK_EQ(qo_lens.size(), kv_lens.size());
   // The mask dictates the tile geometry: Br must match how it was lowered.
-  KernelConfig cfg = SelectKernelConfig(dev, /*avg_fused_rows=*/bsr.br, in.head_dim,
-                                        DTypeBytes(backend.kv_dtype), /*sparse=*/true);
-  cfg.head_fusion = backend.head_fusion;
-  cfg.tile_q = bsr.br;
-  if (in.force_template == 2) cfg.tmpl = gpusim::TemplateGen::kFA2;
-  if (in.force_template == 3) cfg.tmpl = gpusim::TemplateGen::kFA3;
-
-  AttentionParams p;
+  const auto cfg = LaunchConfig(dev, backend, in, /*avg_fused=*/bsr.br, /*sparse=*/true, bsr.br);
+  auto p = LaunchParams(backend, in, qo_lens, kv_lens);
   p.bsr = &bsr;
-  p.qo_indptr = BuildIndptr(qo_lens);
-  p.kv_len = kv_lens;
-  p.num_qo_heads = in.num_qo_heads;
-  p.num_kv_heads = in.num_kv_heads;
-  p.head_dim = in.head_dim;
-  p.head_fusion = backend.head_fusion;
   p.variant.causal = false;  // The mask IS the structure; nothing to trim.
-
-  return PlanAndPrice(dev, backend, p, cfg, in.kv_l2_fraction);
+  return PlanAndPrice(dev, backend, cfg, p, EnumerateWorkUnits(p), in.kv_l2_fraction);
 }
 
 gpusim::SimReport SimulateBatchAttention(const gpusim::DeviceSpec& dev,
                                          const BackendConfig& backend,
                                          const AttnSimInput& in) {
+  FI_CHECK(!in.qo_lens.empty());
+  FI_CHECK_EQ(in.qo_lens.size(), in.kv_lens.size());
+  FI_CHECK_GE(in.num_kv_heads, 1);
+  FI_CHECK_EQ(in.num_qo_heads % in.num_kv_heads, 0);
+  for (size_t i = 0; i < in.qo_lens.size(); ++i) {
+    FI_CHECK_GE(in.qo_lens[i], 0);
+    FI_CHECK_GE(in.kv_lens[i], 0);
+  }
+  for (const auto& group : in.groups) {
+    FI_CHECK_GE(group.prefix_len, 0);
+    for (int m : group.members) {
+      FI_CHECK_GE(m, 0);
+      FI_CHECK_LT(static_cast<size_t>(m), in.qo_lens.size());
+      FI_CHECK_LE(group.prefix_len, in.kv_lens[static_cast<size_t>(m)]);
+    }
+  }
+
   if (!backend.composable || in.groups.empty()) {
     // Packed tiles engage only on heterogeneous batches with no bench
     // overrides pinning the geometry; otherwise the baseline path runs
@@ -275,8 +242,7 @@ gpusim::SimReport SimulateBatchAttention(const gpusim::DeviceSpec& dev,
     // priced against the single-tile layout and the cheaper one runs — on
     // mixes where the compromise tile happens to fit, packed mode ties the
     // baseline instead of regressing it.
-    auto report = PriceSingleFormat(dev, backend, in, in.qo_lens, in.kv_lens,
-                                    /*pos_offsets=*/{});
+    auto report = PriceSingleFormat(dev, backend, in, in.qo_lens, in.kv_lens);
     if (backend.packed_tiles && in.groups.empty() && in.tile_q_override == 0 &&
         in.qo_lens.size() > 1) {
       if (auto packed = TryPricePackedTiles(dev, backend, in);
@@ -296,53 +262,41 @@ gpusim::SimReport SimulateBatchAttention(const gpusim::DeviceSpec& dev,
   // group (prefix KV, concatenated member rows) plus one per real request
   // (suffix KV only).
   const int g = in.num_qo_heads / in.num_kv_heads;
-  std::vector<int64_t> combined_qo, combined_kv, combined_pos;
+  std::vector<int64_t> combined_qo, combined_kv;
   int max_group_rows = 1;
+  int64_t member_rows = 0;
   for (const auto& group : in.groups) {
     int64_t rows = 0;
     for (int m : group.members) rows += in.qo_lens[static_cast<size_t>(m)];
+    member_rows += rows;
     combined_qo.push_back(rows);
     combined_kv.push_back(group.prefix_len);
-    combined_pos.push_back(0);
     max_group_rows =
         std::max<int>(max_group_rows, static_cast<int>(rows) * (backend.head_fusion ? g : 1));
   }
-  std::vector<int64_t> l1_kv(in.kv_lens);
-  std::vector<int64_t> l1_pos(in.kv_lens.size(), 0);
+  combined_qo.insert(combined_qo.end(), in.qo_lens.begin(), in.qo_lens.end());
+  combined_kv.insert(combined_kv.end(), in.kv_lens.begin(), in.kv_lens.end());
+  const size_t l1 = in.groups.size();
   for (const auto& group : in.groups) {
     for (int m : group.members) {
-      l1_kv[static_cast<size_t>(m)] = in.kv_lens[static_cast<size_t>(m)] - group.prefix_len;
-      l1_pos[static_cast<size_t>(m)] = group.prefix_len;
+      combined_kv[l1 + static_cast<size_t>(m)] =
+          in.kv_lens[static_cast<size_t>(m)] - group.prefix_len;
     }
   }
-  combined_qo.insert(combined_qo.end(), in.qo_lens.begin(), in.qo_lens.end());
-  combined_kv.insert(combined_kv.end(), l1_kv.begin(), l1_kv.end());
-  combined_pos.insert(combined_pos.end(), l1_pos.begin(), l1_pos.end());
 
-  AttnSimInput flat = in;
-  flat.groups.clear();
   // The prefix level's larger Br bounds the tile (and hence occupancy).
-  auto report = PriceSingleFormat(dev, backend, flat, combined_qo, combined_kv, combined_pos,
+  auto report = PriceSingleFormat(dev, backend, in, combined_qo, combined_kv,
                                   std::min(max_group_rows, 128));
 
   // --- Extra contraction: merge level-0 and level-1 states per fused row. --
-  {
-    int64_t fused_rows = 0;
-    for (const auto& group : in.groups) {
-      for (int m : group.members) {
-        fused_rows += in.qo_lens[static_cast<size_t>(m)] * g;
-      }
-    }
-    fused_rows *= in.num_kv_heads;
-    gpusim::WorkCost wc;
-    wc.hbm_bytes = static_cast<double>(fused_rows) * (in.head_dim + 1) * 4.0 * 2.0 +
-                   static_cast<double>(fused_rows) * in.head_dim * 2.0;
-    wc.cuda_flops = static_cast<double>(fused_rows) * (2.0 * in.head_dim + 8.0);
-    gpusim::KernelEfficiency eff;  // Bandwidth-bound merge kernel.
-    report.time_us += wc.hbm_bytes / (dev.hbm_gbps * eff.mem * 1e3);
-    report.total_hbm_bytes += wc.hbm_bytes;
-    report.total_cuda_flops += wc.cuda_flops;
-  }
+  const auto fused_rows = static_cast<double>(member_rows * g * in.num_kv_heads);
+  gpusim::WorkCost wc;
+  wc.hbm_bytes = fused_rows * (in.head_dim + 1) * 4.0 * 2.0 + fused_rows * in.head_dim * 2.0;
+  wc.cuda_flops = fused_rows * (2.0 * in.head_dim + 8.0);
+  gpusim::KernelEfficiency eff;  // Bandwidth-bound merge kernel.
+  report.time_us += wc.hbm_bytes / (dev.hbm_gbps * eff.mem * 1e3);
+  report.total_hbm_bytes += wc.hbm_bytes;
+  report.total_cuda_flops += wc.cuda_flops;
   return report;
 }
 

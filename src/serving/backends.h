@@ -75,6 +75,8 @@ struct AttnSimInput {
   int num_qo_heads = 32;
   int num_kv_heads = 8;
   int head_dim = 128;
+  /// Unread by pricing: plans come from lengths alone. Kept only because the
+  /// repository benchmark (perfbench/) still sets it.
   int page_size = 16;
   bool causal = true;
   /// Fraction of KV traffic served from L2 (cross-CTA page reuse; used to
@@ -87,11 +89,14 @@ struct AttnSimInput {
   bool force_dense = false;
 };
 
-/// Simulates one attention launch (per layer) for the step: builds the BSR
-/// from the lengths, runs the backend's scheduler, prices the plan, and
-/// returns the launch report. With `backend.composable` and non-empty
-/// groups, prefix KV is processed once per group at large Br (level 0) and
-/// suffixes at small Br (level 1), plus the extra contraction.
+/// Simulates one attention launch (per layer) for the step: tiles each
+/// request's fused rows from the lengths (no BSR, no page ids), runs the
+/// backend's scheduler, prices the plan, and returns the launch report. With
+/// `backend.composable` and non-empty groups, prefix KV is processed once per
+/// group at large Br (level 0) and suffixes at small Br (level 1), plus the
+/// extra contraction. Aborts on empty or unequal-size lengths, a negative
+/// length, heads that do not group, or a group member out of range or
+/// shorter than the group's prefix.
 gpusim::SimReport SimulateBatchAttention(const gpusim::DeviceSpec& dev,
                                          const BackendConfig& backend, const AttnSimInput& in);
 

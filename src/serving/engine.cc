@@ -73,7 +73,6 @@ AttnSimInput ServingEngine::HeadGeometry() const {
   in.num_kv_heads =
       std::max(1, cfg_.model.num_kv_heads / cfg_.model.tensor_parallel);
   in.head_dim = cfg_.model.head_dim;
-  in.page_size = cfg_.page_size;
   return in;
 }
 

@@ -314,8 +314,8 @@ RefPlan RefBalancedPlan(const AttentionParams& p, const KernelConfig& cfg, int n
     const int64_t n_chunks = u.kv_len <= lkv ? 1 : (u.kv_len + lkv - 1) / lkv;
     if (n_chunks == 1) {
       chunks.push_back(
-          {WorkItem{u.block_row, u.request, u.kv_head, u.qo_head, 0, u.kv_len, -1}, u.rows,
-           u.kv_len});
+          {WorkItem{u.block_row, u.request, u.kv_head, u.qo_head, 0, u.kv_len, -1, u.rows},
+           u.rows, u.kv_len});
       continue;
     }
     std::vector<int32_t> bases;
@@ -323,7 +323,8 @@ RefPlan RefBalancedPlan(const AttentionParams& p, const KernelConfig& cfg, int n
       const int64_t lo = k * lkv;
       const int64_t hi = std::min<int64_t>(u.kv_len, lo + lkv);
       chunks.push_back(
-          {WorkItem{u.block_row, u.request, u.kv_head, u.qo_head, lo, hi, next_partial_row},
+          {WorkItem{u.block_row, u.request, u.kv_head, u.qo_head, lo, hi, next_partial_row,
+                    u.rows},
            u.rows, hi - lo});
       bases.push_back(next_partial_row);
       next_partial_row += u.rows;
@@ -356,7 +357,7 @@ RefPlan RefNaivePlan(const AttentionParams& p) {
   RefPlan plan;
   for (const auto& u : EnumerateWorkUnits(p)) {
     plan.queues.push_back(
-        {WorkItem{u.block_row, u.request, u.kv_head, u.qo_head, 0, u.kv_len, -1}});
+        {WorkItem{u.block_row, u.request, u.kv_head, u.qo_head, 0, u.kv_len, -1, u.rows}});
   }
   return plan;
 }
@@ -375,7 +376,7 @@ RefPlan RefFixedSplitPlan(const AttentionParams& p, const KernelConfig& cfg, int
         u.kv_len <= chunk_len ? 1 : (u.kv_len + chunk_len - 1) / chunk_len;
     if (n_chunks == 1) {
       plan.queues[static_cast<size_t>(cta)].push_back(
-          WorkItem{u.block_row, u.request, u.kv_head, u.qo_head, 0, u.kv_len, -1});
+          WorkItem{u.block_row, u.request, u.kv_head, u.qo_head, 0, u.kv_len, -1, u.rows});
       cta = (cta + 1) % num_ctas;
       continue;
     }
@@ -384,7 +385,7 @@ RefPlan RefFixedSplitPlan(const AttentionParams& p, const KernelConfig& cfg, int
       const int64_t lo = k * chunk_len;
       const int64_t hi = std::min<int64_t>(u.kv_len, lo + chunk_len);
       plan.queues[static_cast<size_t>(cta)].push_back(WorkItem{
-          u.block_row, u.request, u.kv_head, u.qo_head, lo, hi, next_partial_row});
+          u.block_row, u.request, u.kv_head, u.qo_head, lo, hi, next_partial_row, u.rows});
       bases.push_back(next_partial_row);
       next_partial_row += u.rows;
       cta = (cta + 1) % num_ctas;
@@ -423,12 +424,6 @@ double RefMakespan(const std::vector<double>& cta_times, int slots) {
   return makespan;
 }
 
-bool SameItem(const WorkItem& a, const WorkItem& b) {
-  return a.block_row == b.block_row && a.request == b.request && a.kv_head == b.kv_head &&
-         a.qo_head == b.qo_head && a.kv_begin == b.kv_begin && a.kv_end == b.kv_end &&
-         a.dest == b.dest;
-}
-
 ::testing::AssertionResult SamePlan(const Plan& plan, const RefPlan& ref) {
   if (plan.NumCtas() != static_cast<int>(ref.queues.size())) {
     return ::testing::AssertionFailure()
@@ -442,7 +437,7 @@ bool SameItem(const WorkItem& a, const WorkItem& b) {
              << "CTA " << c << " runs " << queue.size() << " items, oracle " << want.size();
     }
     for (size_t i = 0; i < queue.size(); ++i) {
-      if (!SameItem(queue[i], want[i])) {
+      if (queue[i] != want[i]) {
         return ::testing::AssertionFailure() << "CTA " << c << " item " << i << " differs";
       }
     }
@@ -486,6 +481,50 @@ ProblemSpec RandomBatch(Rng& rng, bool fused, bool uniform) {
   spec.head_fusion = fused;
   spec.seed = rng.NextU64();
   return spec;
+}
+
+// ------------------------------------------- work units from lengths alone
+// EnumerateWorkUnits(p, tile_q) tiles every request's fused rows from
+// qo_indptr and kv_len; the BSR overload reads the same geometry off a real
+// batch BSR built at Br = tile_q from paged KV. They must agree exactly.
+
+TEST(UnitsFromLengths, EqualUnitsFromARealBsr) {
+  Rng rng(31337);
+  const int kTileQ[] = {1, 16, 32, 64, 128};
+  int causal = 0, unfused_gqa = 0, zero_kv = 0, multi_tile = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    ProblemSpec spec;
+    const int n = static_cast<int>(rng.UniformInt(1, 8));
+    for (int i = 0; i < n; ++i) {
+      // Decode rows, prefill chunks, and now and then a request with no rows.
+      const int64_t pick = rng.UniformInt(0, 11);
+      const int64_t qo = pick == 0 ? 0 : pick <= 3 ? rng.UniformInt(2, 90) : 1;
+      const int64_t kv = rng.UniformInt(0, 5) == 0 ? 0 : qo + rng.UniformInt(0, 200);
+      spec.qo_lens.push_back(qo);
+      spec.kv_lens.push_back(kv);
+      zero_kv += kv == 0 ? 1 : 0;
+    }
+    spec.num_kv_heads = static_cast<int>(rng.UniformInt(1, 2));
+    spec.num_qo_heads = spec.num_kv_heads * static_cast<int>(rng.UniformInt(1, 4));
+    spec.head_dim = 4;
+    spec.page_size = static_cast<int>(rng.UniformInt(1, 16));
+    spec.tile_q = kTileQ[trial % 5];
+    spec.head_fusion = (trial / 5) % 2 == 0;
+    spec.seed = rng.NextU64();
+    auto prob = MakeProblem(spec);
+    auto p = prob.Params();
+    p.variant.causal = (trial / 10) % 2 == 0;
+    const auto from_bsr = EnumerateWorkUnits(p);
+    p.bsr = nullptr;  // The length overload must not need it.
+    ASSERT_TRUE(EnumerateWorkUnits(p, spec.tile_q) == from_bsr) << "trial " << trial;
+    causal += p.variant.causal ? 1 : 0;
+    unfused_gqa += !spec.head_fusion && spec.num_qo_heads > spec.num_kv_heads ? 1 : 0;
+    multi_tile += prob.bsr.NumBlockRows() > n ? 1 : 0;
+  }
+  EXPECT_GT(causal, 100);
+  EXPECT_GT(unfused_gqa, 50);
+  EXPECT_GT(zero_kv, 50);
+  EXPECT_GT(multi_tile, 50);
 }
 
 TEST(PlanOracle, BalancedMatchesFourKeyComparatorPlanner) {
